@@ -205,11 +205,14 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # test_prune rides with the pattern-panel work: its pattern/mask contracts
 # feed the tap-list derivation and the compacted im2col gather, and the
 # pattern suites in test_qgemm_kernel walk those buffers with raw pointers.
-echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + autotune + prune suites under UPAQ_SANITIZE=address,undefined"
+# test_nn and test_detectors join with the fused inference epilogue: its
+# residual offsets, per-channel term pointers and upsample-into-concat
+# placement are raw-buffer arithmetic inside every kernel's output store.
+echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + autotune + prune + nn + detectors suites under UPAQ_SANITIZE=address,undefined"
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_autotune test_prune
-UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_autotune|test_prune' --output-on-failure
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_autotune test_prune test_nn test_detectors
+UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_autotune|test_prune|test_nn|test_detectors' --output-on-failure
 # The serve pipeline overlaps stages across pool lanes and recycles batch
 # slots — ASan watches the slot/workspace lifetimes, and the traced run
 # keeps every span live while the stages overlap.

@@ -195,7 +195,6 @@ PointPillars::Pillars PointPillars::pillarize(const data::Scene& scene) const {
 
 void PointPillars::pfn_pool_scatter(const Pillars& pil,
                                     const Tensor& point_feats,
-                                    std::int64_t row0,
                                     std::int64_t* argmax_out,
                                     float* pseudo_plane) const {
   const auto pillar_count = static_cast<std::int64_t>(pil.coords.size());
@@ -216,12 +215,12 @@ void PointPillars::pfn_pool_scatter(const Pillars& pil,
         const int v = pil.valid_counts[static_cast<std::size_t>(p)];
         for (int ch = 0; ch < c; ++ch) {
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_row = row0 + p * maxp;
+          std::int64_t best_row = p * maxp;
           for (int i = 0; i < v; ++i) {
-            const float val = point_feats.at(row0 + p * maxp + i, ch);
+            const float val = point_feats.at(p * maxp + i, ch);
             if (val > best) {
               best = val;
-              best_row = row0 + p * maxp + i;
+              best_row = p * maxp + i;
             }
           }
           pooled.at(p, ch) = best;
@@ -261,8 +260,7 @@ void PointPillars::forward(const data::Scene& scene, ForwardState& state) {
 
   state.max_argmax.assign(static_cast<std::size_t>(pillar_count * c), 0);
   Tensor pseudo({1, c, cfg_.grid, cfg_.grid});
-  pfn_pool_scatter(pil, point_feats, /*row0=*/0, state.max_argmax.data(),
-                   pseudo.data());
+  pfn_pool_scatter(pil, point_feats, state.max_argmax.data(), pseudo.data());
 
   // Backbone + FPN-style concat + head.
   const Tensor b1 = block_seq_[0].forward(pseudo);
@@ -284,46 +282,47 @@ std::vector<PointPillars::HeadOutput> PointPillars::forward_batch(
   const int c = cfg_.pfn_channels;
   const int g = cfg_.grid;
 
-  // One batched PFN pass over every scene's padded point rows, concatenated.
-  // Linear and ReLU are row-independent, so each row's embedding is bitwise
-  // the same as in the per-scene pass regardless of what rides along.
-  std::int64_t total_rows = 0;
-  for (const auto* pil : batch) total_rows += pil->features.dim(0);
+  // PFN (linear with its ReLU fused into the output store) over each
+  // scene's own point rows. Running scenes separately keeps every scene's
+  // embedding independent of its batch-mates: the packed linear quantizes
+  // its input with one activation scale per call.
+  auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
   Tensor pseudo({b_count, c, g, g});
-  if (total_rows > 0) {
-    Tensor all_feats({total_rows, kPointFeatures});
-    std::int64_t row0 = 0;
-    for (const auto* pil : batch) {
-      const std::int64_t rows = pil->features.dim(0);
-      std::copy(pil->features.data(),
-                pil->features.data() + rows * kPointFeatures,
-                all_feats.data() + row0 * kPointFeatures);
-      row0 += rows;
-    }
-    auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
-    const Tensor point_feats = pfn_relu->forward(pfn_->forward(all_feats));
-    row0 = 0;
-    for (std::int64_t b = 0; b < b_count; ++b) {
-      pfn_pool_scatter(*batch[static_cast<std::size_t>(b)], point_feats, row0,
-                       /*argmax_out=*/nullptr, pseudo.data() + b * c * g * g);
-      row0 += batch[static_cast<std::size_t>(b)]->features.dim(0);
-    }
+  for (std::int64_t b = 0; b < b_count; ++b) {
+    const Pillars& pil = *batch[static_cast<std::size_t>(b)];
+    if (pil.features.dim(0) == 0) continue;  // empty scene: all-zero plane
+    const Tensor point_feats = pfn_->forward(pil.features, {.act = pfn_relu});
+    pfn_pool_scatter(pil, point_feats, /*argmax_out=*/nullptr,
+                     pseudo.data() + b * c * g * g);
   }
 
   // Backbone + FPN-style concat + head over the batched pseudo-image. Every
   // layer treats batch items independently (disjoint per-item writes), so
-  // the batch composition cannot perturb any scene's outputs.
+  // the batch composition cannot perturb any scene's outputs. The eval-mode
+  // Sequentials run each Conv -> BN -> ReLU as one fused call, and each
+  // lateral conv writes its output, nearest-neighbour upsampled, straight
+  // into its channel slice of the head's concat input.
   const Tensor b1 = block_seq_[0].forward(pseudo);
   const Tensor b2 = block_seq_[1].forward(b1);
   const Tensor b3 = block_seq_[2].forward(b2);
-  const Tensor cat = nn::concat_channels(
-      {up_seq_[0].forward(b1), up_seq_[1].forward(b2), up_seq_[2].forward(b3)});
+  const Tensor* branches[] = {&b1, &b2, &b3};
+  Tensor cat({b_count, 3 * cfg_.up_channels, head_grid_, head_grid_});
+  for (std::size_t i = 0; i < up_convs_.size(); ++i)
+    up_convs_[i]->forward(
+        *branches[i],
+        {.into = &cat,
+         .into_factor = 1 << i,
+         .into_channel = static_cast<std::int64_t>(i) * cfg_.up_channels});
   const Tensor trunk = head_trunk_.forward(cat);
-  const Tensor cls = cls_head_->forward(trunk);
-  const Tensor reg = reg_head_->forward(trunk);
+  Tensor cls = cls_head_->forward(trunk);
+  Tensor reg = reg_head_->forward(trunk);
 
   // Slice the contiguous NCHW batch planes back into per-scene outputs.
   std::vector<HeadOutput> out(batch.size());
+  if (b_count == 1) {
+    out[0] = {std::move(cls), std::move(reg)};
+    return out;
+  }
   const std::int64_t cls_plane = cls.numel() / b_count;
   const std::int64_t reg_plane = reg.numel() / b_count;
   for (std::int64_t b = 0; b < b_count; ++b) {
@@ -416,10 +415,9 @@ std::vector<eval::Box3D> PointPillars::detect(const data::Scene& scene) {
   prof::Span span("detect", "PointPillars");
   obs::ScopedTimer timer(obs::Hist::kDetect);
   obs::add(obs::Counter::kDetects);
-  set_training(false);
-  ForwardState state;
-  forward(scene, state);
-  return decode(state.cls_logits, state.reg_out);
+  const Pillars pil = pillarize(scene);
+  const auto heads = forward_batch({&pil});
+  return decode(heads[0].cls_logits, heads[0].reg_out);
 }
 
 double PointPillars::compute_loss_and_grad(

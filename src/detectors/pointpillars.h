@@ -125,12 +125,13 @@ class PointPillars final : public Detector3D {
   Pillars pillarize(const data::Scene& scene) const;
 
   /// Stage 2: eval-mode PFN + backbone + head over a batch of pillarized
-  /// scenes in one pass. The point rows are concatenated through the PFN and
-  /// the pillar embeddings scattered into a (B, C, G, G) pseudo-image, so
-  /// the whole CNN runs batch-capable layers once per batch. Every layer's
-  /// math is per-sample independent, so each scene's outputs are bitwise
-  /// identical to the single-scene detect() path at any batch size and any
-  /// thread count (pinned by tests/test_serve.cpp).
+  /// scenes in one pass. The PFN runs per scene and the pillar embeddings
+  /// are scattered into a (B, C, G, G) pseudo-image, so the whole CNN runs
+  /// batch-capable layers once per batch, each Conv -> BN -> ReLU chain as
+  /// one fused call. Every layer's math is per-sample independent, so each
+  /// scene's outputs are bitwise identical to the single-scene detect() path
+  /// at any batch size and any thread count, fp32 or packed (pinned by
+  /// tests/test_serve.cpp).
   std::vector<HeadOutput> forward_batch(
       const std::vector<const Pillars*>& batch);
 
@@ -145,17 +146,17 @@ class PointPillars final : public Detector3D {
     Tensor cls_logits, reg_out;            ///< head outputs
   };
 
-  /// Runs the network; fills `state` when training (for backward).
+  /// Training forward (every layer separate, caches filled for backward).
+  /// Inference goes through forward_batch().
   void forward(const data::Scene& scene, ForwardState& state);
   void backward(const ForwardState& state, const Tensor& grad_cls,
                 const Tensor& grad_reg);
-  /// Shared PFN tail: masked max-pool over one scene's pillars (point rows
-  /// start at `row0` of `point_feats`) followed by the scatter into that
-  /// scene's (C, G, G) pseudo-image plane. `argmax_out`, when non-null,
-  /// receives the per-(pillar, channel) winning row for backward.
+  /// Shared PFN tail: masked max-pool over one scene's pillars (its point
+  /// rows are `point_feats`) followed by the scatter into that scene's
+  /// (C, G, G) pseudo-image plane. `argmax_out`, when non-null, receives the
+  /// per-(pillar, channel) winning row for backward.
   void pfn_pool_scatter(const Pillars& pil, const Tensor& point_feats,
-                        std::int64_t row0, std::int64_t* argmax_out,
-                        float* pseudo_plane) const;
+                        std::int64_t* argmax_out, float* pseudo_plane) const;
 
   PointPillarsConfig cfg_;
 

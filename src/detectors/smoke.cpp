@@ -62,6 +62,14 @@ SmokeConfig SmokeConfig::full() {
 }
 
 Tensor Smoke::Stage::forward(const Tensor& x) const {
+  if (!down_conv->training()) {
+    // Eval: each conv applies its BN, residual add and ReLU in the kernel's
+    // output store — bitwise the unfused sequence below.
+    Tensor y = down_conv->forward(x, {.bn = down_bn, .act = down_relu});
+    for (const auto& u : units)
+      y = u.conv->forward(y, {.bn = u.bn, .residual = &y, .act = u.relu});
+    return y;
+  }
   Tensor y = down_relu->forward(down_bn->forward(down_conv->forward(x)));
   for (const auto& u : units) {
     Tensor t = u.bn->forward(u.conv->forward(y));

@@ -94,6 +94,11 @@ class Smoke final : public Detector3D {
   Tensor render(const data::Scene& scene) const;
   Tensor render_augmented(const data::Scene& scene);
 
+  /// Heatmap peak extraction + uplift + NMS over the head outputs
+  /// ((1, classes, H/4, W/4) logits, (1, 8, H/4, W/4) regression). Pure.
+  std::vector<eval::Box3D> decode(const Tensor& hm_logits,
+                                  const Tensor& reg_out) const;
+
  private:
   /// One backbone stage: stride-2 entry conv + `extra` residual convs.
   struct Stage {
@@ -116,10 +121,10 @@ class Smoke final : public Detector3D {
     Tensor reg_out;         ///< (1, 8, H/4, W/4) — shared across classes
   };
 
+  /// Fused in eval mode (Sequentials and stages run each Conv -> BN ->
+  /// (+skip) -> ReLU chain as one call), layer by layer when training.
   void forward(const Tensor& image, ForwardState& state);
   void backward(const Tensor& grad_hm, const Tensor& grad_reg);
-  std::vector<eval::Box3D> decode(const Tensor& hm_logits,
-                                  const Tensor& reg_out) const;
 
   SmokeConfig cfg_;
   nn::Sequential stem_;

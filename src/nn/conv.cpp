@@ -70,7 +70,13 @@ void Conv2d::refresh_weight_pack() {
   packed_w2d_hash_ = h;
 }
 
-Tensor Conv2d::do_forward(const Tensor& x) {
+Tensor Conv2d::do_forward(const Tensor& x) { return run_forward(x, nullptr); }
+
+Tensor Conv2d::do_forward_fused(const Tensor& x, const Epilogue& epi) {
+  return run_forward(x, &epi);
+}
+
+Tensor Conv2d::run_forward(const Tensor& x, const Epilogue* fused) {
   UPAQ_CHECK(x.rank() == 4, "Conv2d expects (N,C,H,W), got " +
                                 shape_to_string(x.shape()));
   UPAQ_CHECK(x.dim(1) == in_c_,
@@ -82,9 +88,18 @@ Tensor Conv2d::do_forward(const Tensor& x) {
   last_out_h_ = oh;
   last_out_w_ = ow;
   if (training_) input_cache_ = x;
+  std::vector<float> inv_std;
+  const gemm::Epilogue epi =
+      fused != nullptr
+          ? kernel_epilogue(*fused, out_c_, {n, out_c_, oh, ow}, inv_std)
+          : gemm::Epilogue{};
   // Packed integer path (upaq::qnn): inference-only, so training always
   // stays on the differentiable float route below.
-  if (engine_ != nullptr && !training_) return engine_->forward(x);
+  if (engine_ != nullptr && !training_) {
+    Tensor y = engine_->forward(x, &epi);
+    if (fused != nullptr) return place_output(std::move(y), *fused);
+    return y;
+  }
 
   refresh_weight_pack();
   const std::int64_t kcols = in_c_ * kernel_ * kernel_;
@@ -107,9 +122,12 @@ Tensor Conv2d::do_forward(const Tensor& x) {
           std::fill(dst + oc * oh * ow, dst + (oc + 1) * oh * ow,
                     bias_.value[oc]);
       }
-      gemm::gemm_packed(packed_w2d_, cols, dst, oh * ow, 1.0f);
+      gemm::Epilogue item_epi = epi;
+      if (epi.skip != nullptr) item_epi.skip += b * out_c_ * oh * ow;
+      gemm::gemm_packed(packed_w2d_, cols, dst, oh * ow, 1.0f, &item_epi);
     }
   });
+  if (fused != nullptr) return place_output(std::move(out), *fused);
   return out;
 }
 

@@ -1,7 +1,7 @@
 // 2-D convolution with explicit backward pass and pruning-mask support.
 #pragma once
 
-#include "nn/layer.h"
+#include "nn/layers.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/rng.h"
 
@@ -18,6 +18,7 @@ class Conv2d final : public Layer {
 
   LayerKind kind() const override { return LayerKind::kConv2d; }
   std::vector<Parameter*> parameters() override;
+  bool fuses_epilogue() const override { return true; }
 
   Parameter& weight() { return weight_; }
   const Parameter& weight() const { return weight_; }
@@ -38,8 +39,13 @@ class Conv2d final : public Layer {
  protected:
   Tensor do_forward(const Tensor& x) override;
   Tensor do_backward(const Tensor& grad_out) override;
+  /// Channel = output channel; every kernel (fp32 blocked/row-skip and the
+  /// packed engines) applies the epilogue in its final store.
+  Tensor do_forward_fused(const Tensor& x, const Epilogue& epi) override;
 
  private:
+  Tensor run_forward(const Tensor& x, const Epilogue* epi);
+
   /// Rebuilds the cached 2-D weight view and pre-packed GEMM panels when
   /// weight_.version has moved (optimizer step, requantize, load_state_dict).
   void refresh_weight_pack();

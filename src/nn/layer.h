@@ -13,7 +13,32 @@
 
 #include "tensor/tensor.h"
 
+namespace upaq::gemm {
+struct Epilogue;
+}  // namespace upaq::gemm
+
 namespace upaq::nn {
+
+class BatchNorm2d;
+class Relu;
+
+/// Eval-mode layers fused into a Conv2d/Linear output store — the
+/// Conv -> BN -> (+residual) -> ReLU and Linear -> ReLU chains run as one
+/// call with no standalone pass over the output. Every part is optional.
+/// The fused result is bitwise what the same layers' forward() calls
+/// produce one at a time (see gemm::Epilogue for the per-element order).
+struct Epilogue {
+  const BatchNorm2d* bn = nullptr;  ///< eval-mode BN (conv outputs only)
+  const Tensor* residual = nullptr; ///< added after BN; output-shaped
+  const Relu* act = nullptr;        ///< ReLU / LeakyReLU, applied last
+  /// Output placement: when set, the result is written nearest-neighbour
+  /// upsampled by `into_factor` into channels [into_channel, +out_c) of this
+  /// (N, C, H * f, W * f) buffer (e.g. a concat), and forward() returns an
+  /// empty tensor.
+  Tensor* into = nullptr;
+  int into_factor = 1;
+  std::int64_t into_channel = 0;
+};
 
 /// A trainable tensor with gradient storage, an optional pruning mask, and
 /// quantization bookkeeping used by the compression-ratio accounting.
@@ -68,7 +93,10 @@ struct Parameter {
 class ForwardEngine {
  public:
   virtual ~ForwardEngine() = default;
-  virtual Tensor forward(const Tensor& x) = 0;
+  /// `epi`, when non-null and active, is applied by the engine's kernel in
+  /// its final output store (see gemm::Epilogue).
+  virtual Tensor forward(const Tensor& x, const gemm::Epilogue* epi) = 0;
+  Tensor forward(const Tensor& x) { return forward(x, nullptr); }
   virtual const char* engine_name() const = 0;
 };
 
@@ -104,6 +132,13 @@ class Layer {
   Tensor backward(const Tensor& grad_out);
   virtual LayerKind kind() const = 0;
 
+  /// Eval-mode forward with `epi` fused into this layer's output store; only
+  /// layers with fuses_epilogue() (Conv2d, Linear) implement it. Traced as
+  /// one span under this layer's name, so the fused layers' time shows as
+  /// this layer's.
+  Tensor forward(const Tensor& x, const Epilogue& epi);
+  virtual bool fuses_epilogue() const { return false; }
+
   /// Trainable parameters (may be empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }
   std::vector<const Parameter*> parameters() const {
@@ -136,6 +171,7 @@ class Layer {
  protected:
   virtual Tensor do_forward(const Tensor& x) = 0;
   virtual Tensor do_backward(const Tensor& grad_out) = 0;
+  virtual Tensor do_forward_fused(const Tensor& x, const Epilogue& epi);
 
   std::string name_;
   bool training_ = true;

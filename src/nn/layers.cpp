@@ -97,9 +97,11 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
       parallel::parallel_for(0, c, 1, train_channels);
     }
   } else {
+    std::vector<float> inv_stds(static_cast<std::size_t>(c));
+    eval_inv_std(inv_stds.data());
     auto eval_channels = [&](std::int64_t c0, std::int64_t c1) {
       for (std::int64_t ch = c0; ch < c1; ++ch) {
-        const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
+        const float inv_std = inv_stds[static_cast<std::size_t>(ch)];
         const float g = gamma_.value[ch], bta = beta_.value[ch];
         const float mean = running_mean_[ch];
         for (std::int64_t b = 0; b < n; ++b) {
@@ -117,6 +119,11 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
     }
   }
   return out;
+}
+
+void BatchNorm2d::eval_inv_std(float* out) const {
+  for (std::int64_t ch = 0; ch < channels_; ++ch)
+    out[ch] = 1.0f / std::sqrt(running_var_[ch] + eps_);
 }
 
 Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
@@ -166,12 +173,18 @@ Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
 
 Tensor Relu::do_forward(const Tensor& x) {
   if (training_) input_cache_ = x;
-  Tensor out = x;
-  float* p = out.data();
+  Tensor out(x.shape());
+  const float* src = x.data();
+  float* dst = out.data();
+  const float slope = slope_;
+  // Branch-free select that keeps the bits of v * slope (-0.0 for a
+  // negative v under plain ReLU, NaN for -inf); NaN inputs pass through.
   parallel::parallel_for(0, out.numel(), kLayerParallelGrain,
                          [&](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i)
-                             if (p[i] < 0.0f) p[i] *= slope_;
+                           for (std::int64_t i = i0; i < i1; ++i) {
+                             const float v = src[i], a = v * slope;
+                             dst[i] = v < 0.0f ? a : v;
+                           }
                          });
   return out;
 }
@@ -241,23 +254,41 @@ Tensor MaxPool2d::do_backward(const Tensor& grad_out) {
 
 // ----------------------------------------------------------------- Upsample
 
+void upsample_into(const Tensor& x, int factor, Tensor& dst,
+                   std::int64_t c0) {
+  UPAQ_CHECK(x.rank() == 4, "Upsample expects NCHW");
+  UPAQ_CHECK(factor >= 1, "Upsample factor must be >= 1");
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t oh = h * factor, ow = w * factor;
+  UPAQ_CHECK(dst.rank() == 4 && dst.dim(0) == n && dst.dim(2) == oh &&
+                 dst.dim(3) == ow && c0 >= 0 && c0 + c <= dst.dim(1),
+             "upsample_into: destination " + shape_to_string(dst.shape()) +
+                 " cannot hold " + shape_to_string(x.shape()) + " x" +
+                 std::to_string(factor) + " at channel " +
+                 std::to_string(c0));
+  const std::int64_t dst_c = dst.dim(1);
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      const float* plane = x.data() + (b * c + ch) * h * w;
+      float* oplane = dst.data() + (b * dst_c + c0 + ch) * oh * ow;
+      for (std::int64_t y = 0; y < h; ++y) {
+        const float* row = plane + y * w;
+        float* orow = oplane + y * factor * ow;
+        for (std::int64_t x0 = 0; x0 < w; ++x0)
+          std::fill(orow + x0 * factor, orow + (x0 + 1) * factor, row[x0]);
+        for (int r = 1; r < factor; ++r)
+          std::copy(orow, orow + ow, orow + r * ow);
+      }
+    }
+  }
+}
+
 Tensor Upsample::do_forward(const Tensor& x) {
   UPAQ_CHECK(x.rank() == 4, "Upsample expects NCHW");
   UPAQ_CHECK(factor_ >= 1, "Upsample factor must be >= 1");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = h * factor_, ow = w * factor_;
   input_shape_ = x.shape();
-  Tensor out({n, c, oh, ow});
-  const float* src = x.data();
-  float* dst = out.data();
-  for (std::int64_t bc = 0; bc < n * c; ++bc) {
-    const float* plane = src + bc * h * w;
-    float* oplane = dst + bc * oh * ow;
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      const float* row = plane + (oy / factor_) * w;
-      for (std::int64_t ox = 0; ox < ow; ++ox) oplane[oy * ow + ox] = row[ox / factor_];
-    }
-  }
+  Tensor out({x.dim(0), x.dim(1), x.dim(2) * factor_, x.dim(3) * factor_});
+  upsample_into(x, factor_, out, 0);
   return out;
 }
 
@@ -296,13 +327,28 @@ std::vector<Parameter*> Linear::parameters() {
   return ps;
 }
 
-Tensor Linear::do_forward(const Tensor& x) {
+Tensor Linear::do_forward(const Tensor& x) { return run_forward(x, nullptr); }
+
+Tensor Linear::do_forward_fused(const Tensor& x, const Epilogue& epi) {
+  return run_forward(x, &epi);
+}
+
+Tensor Linear::run_forward(const Tensor& x, const Epilogue* fused) {
   UPAQ_CHECK(x.rank() == 2 && x.dim(1) == in_f_,
              name_ + ": Linear expects (N," + std::to_string(in_f_) + ")");
   if (training_) input_cache_ = x;
-  // Packed integer path (upaq::qnn): inference-only, same contract as Conv2d.
-  if (engine_ != nullptr && !training_) return engine_->forward(x);
   const std::int64_t n = x.dim(0);
+  std::vector<float> inv_std;
+  const gemm::Epilogue epi =
+      fused != nullptr
+          ? kernel_epilogue(*fused, out_f_, {n, out_f_}, inv_std)
+          : gemm::Epilogue{};
+  // Packed integer path (upaq::qnn): inference-only, same contract as Conv2d.
+  if (engine_ != nullptr && !training_) {
+    Tensor y = engine_->forward(x, &epi);
+    if (fused != nullptr) return place_output(std::move(y), *fused);
+    return y;
+  }
   Tensor out({n, out_f_});
   // y = x * W^T (+ b); rows of the output are independent, so the batch loop
   // parallelises deterministically (the PFN feeds thousands of point rows).
@@ -319,6 +365,11 @@ Tensor Linear::do_forward(const Tensor& x) {
           acc += static_cast<double>(wrow[i]) * xrow[i];
         py[b * out_f_ + o] = static_cast<float>(acc);
       }
+      if (epi.active())
+        gemm::epilogue_row(epi, py + b * out_f_,
+                           epi.skip != nullptr ? epi.skip + b * out_f_
+                                               : nullptr,
+                           out_f_);
     }
   };
   if (n * out_f_ * in_f_ < kLayerParallelGrain) {
@@ -326,6 +377,7 @@ Tensor Linear::do_forward(const Tensor& x) {
   } else {
     parallel::parallel_for(0, n, 32, rows);
   }
+  if (fused != nullptr) return place_output(std::move(out), *fused);
   return out;
 }
 
@@ -373,6 +425,46 @@ Tensor Linear::do_backward(const Tensor& grad_out) {
   }
   if (!weight_.mask.empty()) weight_.grad.mul_(weight_.mask);
   return grad_x;
+}
+
+// ------------------------------------------------------- fused epilogue
+
+gemm::Epilogue kernel_epilogue(const Epilogue& epi, std::int64_t channels,
+                               const Shape& out_shape,
+                               std::vector<float>& inv_std) {
+  gemm::Epilogue k;
+  if (epi.bn != nullptr) {
+    const BatchNorm2d& bn = *epi.bn;
+    UPAQ_CHECK(!bn.training(), bn.name() + ": fused BN must be in eval mode");
+    UPAQ_CHECK(out_shape.size() == 4 && bn.channels() == channels,
+               bn.name() + ": BN cannot fuse onto output " +
+                   shape_to_string(out_shape));
+    inv_std.resize(static_cast<std::size_t>(channels));
+    bn.eval_inv_std(inv_std.data());
+    k.gamma = bn.gamma().value.data();
+    k.mean = bn.running_mean().data();
+    k.inv_std = inv_std.data();
+    k.beta = bn.beta().value.data();
+  }
+  if (epi.residual != nullptr) {
+    UPAQ_CHECK(shape_equal(epi.residual->shape(), out_shape),
+               "fused residual " + shape_to_string(epi.residual->shape()) +
+                   " does not match output " + shape_to_string(out_shape));
+    k.skip = epi.residual->data();
+  }
+  if (epi.act != nullptr) {
+    UPAQ_CHECK(!epi.act->training(),
+               epi.act->name() + ": fused activation must be in eval mode");
+    k.relu = true;
+    k.slope = epi.act->negative_slope();
+  }
+  return k;
+}
+
+Tensor place_output(Tensor y, const Epilogue& epi) {
+  if (epi.into == nullptr) return y;
+  upsample_into(y, epi.into_factor, *epi.into, epi.into_channel);
+  return {};
 }
 
 }  // namespace upaq::nn

@@ -3,6 +3,7 @@
 #pragma once
 
 #include "nn/layer.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/rng.h"
 
 namespace upaq::nn {
@@ -18,9 +19,16 @@ class BatchNorm2d final : public Layer {
 
   Parameter& gamma() { return gamma_; }
   Parameter& beta() { return beta_; }
+  const Parameter& gamma() const { return gamma_; }
+  const Parameter& beta() const { return beta_; }
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
+  const Tensor& running_mean() const { return running_mean_; }
   std::int64_t channels() const { return channels_; }
+
+  /// Eval-mode 1 / sqrt(running_var + eps) per channel into `out` — the one
+  /// definition both the standalone eval forward and the fused epilogue use.
+  void eval_inv_std(float* out) const;
 
  protected:
   Tensor do_forward(const Tensor& x) override;
@@ -77,6 +85,12 @@ class MaxPool2d final : public Layer {
   std::vector<std::int64_t> argmax_;
 };
 
+/// Nearest-neighbour upsampling of NCHW `x` by `factor` into channels
+/// [c0, c0 + C) of the NCHW buffer `dst` (N, C_dst, H * factor, W * factor):
+/// each output row is built once and copied factor - 1 more times. Pure
+/// copies, so the values are bitwise x's.
+void upsample_into(const Tensor& x, int factor, Tensor& dst, std::int64_t c0);
+
 /// Nearest-neighbour upsampling by an integer factor.
 class Upsample final : public Layer {
  public:
@@ -104,6 +118,7 @@ class Linear final : public Layer {
          Rng& rng, std::string name);
   LayerKind kind() const override { return LayerKind::kLinear; }
   std::vector<Parameter*> parameters() override;
+  bool fuses_epilogue() const override { return true; }
 
   Parameter& weight() { return weight_; }
   const Parameter& weight() const { return weight_; }
@@ -115,12 +130,29 @@ class Linear final : public Layer {
  protected:
   Tensor do_forward(const Tensor& x) override;
   Tensor do_backward(const Tensor& grad_out) override;
+  /// Channel = output column; BN is not supported on (N, F) outputs.
+  Tensor do_forward_fused(const Tensor& x, const Epilogue& epi) override;
 
  private:
+  Tensor run_forward(const Tensor& x, const Epilogue* epi);
+
   std::int64_t in_f_, out_f_;
   bool has_bias_;
   Parameter weight_, bias_;
   Tensor input_cache_;
 };
+
+/// Kernel form of `epi` for a layer producing `out_shape` whose channel
+/// count is `channels`: validates the parts (eval mode, BN channel count,
+/// residual shape) and fills `inv_std` with the BN terms the kernel reads.
+/// Ignores the `into` placement, which the layer performs itself.
+gemm::Epilogue kernel_epilogue(const Epilogue& epi, std::int64_t channels,
+                               const Shape& out_shape,
+                               std::vector<float>& inv_std);
+
+/// Performs `epi`'s output placement for a finished layer output `y`:
+/// upsample-copies it into `*epi.into` and returns an empty tensor, or
+/// returns `y` unchanged when no placement is set.
+Tensor place_output(Tensor y, const Epilogue& epi);
 
 }  // namespace upaq::nn

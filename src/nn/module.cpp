@@ -72,8 +72,29 @@ void Module::load_state_dict(const std::map<std::string, Tensor>& state) {
 }
 
 Tensor Sequential::forward(const Tensor& x) const {
-  Tensor cur = x;
-  for (auto* l : chain_) cur = l->forward(cur);
+  // In eval mode each Conv2d/Linear absorbs the BatchNorm and ReLU directly
+  // after it, so the chain runs as one fused call with no standalone BN or
+  // ReLU pass (bitwise the same output). Training keeps every layer separate
+  // so backward finds its caches.
+  if (chain_.empty()) return x;
+  const Tensor* in = &x;
+  Tensor cur;
+  for (std::size_t i = 0; i < chain_.size();) {
+    Layer* l = chain_[i++];
+    Epilogue epi;
+    if (l->fuses_epilogue() && !l->training()) {
+      const auto next = [&]() -> Layer* {
+        return i < chain_.size() && !chain_[i]->training() ? chain_[i]
+                                                           : nullptr;
+      };
+      if (l->kind() == LayerKind::kConv2d)
+        if ((epi.bn = dynamic_cast<const BatchNorm2d*>(next()))) ++i;
+      if ((epi.act = dynamic_cast<const Relu*>(next()))) ++i;
+    }
+    cur = epi.bn != nullptr || epi.act != nullptr ? l->forward(*in, epi)
+                                                  : l->forward(*in);
+    in = &cur;
+  }
   return cur;
 }
 

@@ -338,7 +338,8 @@ void PackedGemm::run(const QuantizedActs& x, const float* bias,
 }
 
 void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
-                     const float* bias, float* py) const {
+                     const float* bias, float* py,
+                     const gemm::Epilogue* epi) const {
   if (pattern_) {
     // Full-k entry for the pattern panel: gather the surviving tap rows into
     // a compacted (k_compact, n) workspace matrix, then run the compacted
@@ -360,7 +361,7 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
     } else {
       parallel::parallel_for(0, k_compact_, kRowGrain, gather);
     }
-    run_compact(cx, sx, n, bias, py);
+    run_compact(cx, sx, n, bias, py, epi);
     return;
   }
   prof::add(prof::Counter::kPackedSegments,
@@ -384,9 +385,9 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
       parallel::parallel_for(0, rows_, kRowGrain, fill);
     }
     if (!panel4_.empty()) {
-      gemm::q4_gemm_panel(panel4_, qx, sx, n, py);
+      gemm::q4_gemm_panel(panel4_, qx, sx, n, py, epi);
     } else {
-      gemm::q8_gemm_panel(panel_, qx, sx, n, py);
+      gemm::q8_gemm_panel(panel_, qx, sx, n, py, epi);
     }
     return;
   }
@@ -397,11 +398,12 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
   // thread count or blocking.
   gemm::s8_gemm_segments(cols_.data(), codes_.data(), segs_.data(),
                          row_segs_.data(), rows_, k_, qx, sx, n, bias, py,
-                         /*codes_fit_i8=*/bits_ <= 8);
+                         /*codes_fit_i8=*/bits_ <= 8, epi);
 }
 
 void PackedGemm::run_compact(const std::int8_t* qx, float sx, std::int64_t n,
-                             const float* bias, float* py) const {
+                             const float* bias, float* py,
+                             const gemm::Epilogue* epi) const {
   UPAQ_CHECK(pattern_, "PackedGemm::run_compact: pattern panel not active");
   prof::add(prof::Counter::kPackedSegments,
             static_cast<std::uint64_t>(segs_.size()));
@@ -426,9 +428,9 @@ void PackedGemm::run_compact(const std::int8_t* qx, float sx, std::int64_t n,
     parallel::parallel_for(0, rows_, kRowGrain, fill);
   }
   if (!panel4_.empty()) {
-    gemm::q4_gemm_panel(panel4_, qx, sx, n, py);
+    gemm::q4_gemm_panel(panel4_, qx, sx, n, py, epi);
   } else {
-    gemm::q8_gemm_panel(panel_, qx, sx, n, py);
+    gemm::q8_gemm_panel(panel_, qx, sx, n, py, epi);
   }
 }
 
@@ -442,7 +444,9 @@ void PackedGemm::run_t(const QuantizedActs& x, const float* bias,
 }
 
 void PackedGemm::run_t(const std::int8_t* qx, float act_scale, std::int64_t n,
-                       const float* bias, float* py) const {
+                       const float* bias, float* py,
+                       const gemm::Epilogue* epi) const {
+  if (epi != nullptr && !epi->active()) epi = nullptr;
   prof::add(prof::Counter::kPackedSegments,
             static_cast<std::uint64_t>(segs_.size()) *
                 static_cast<std::uint64_t>(n));
@@ -470,6 +474,11 @@ void PackedGemm::run_t(const std::int8_t* qx, float act_scale, std::int64_t n,
         }
         yrow[r] = static_cast<float>(acc);
       }
+      if (epi != nullptr)
+        gemm::epilogue_row(*epi, yrow,
+                           epi->skip != nullptr ? epi->skip + b * rows_
+                                                : nullptr,
+                           rows_);
     }
   };
   if (n * rows_ * k_ < kMinParallelWork) {

@@ -119,9 +119,12 @@ class PackedGemm {
   /// pre-gathered integer columns and write straight into an output slice.
   /// When the pattern panel is active, the full-k matrix is first compacted
   /// to the surviving tap rows (an extra copy) — callers that can gather
-  /// compacted columns directly should use run_compact() instead.
+  /// compacted columns directly should use run_compact() instead. An active
+  /// `epi` (channel = output row, skip in `out`'s layout) is applied by the
+  /// kernel in its final store.
   void run(const std::int8_t* codes, float act_scale, std::int64_t n,
-           const float* bias, float* out) const;
+           const float* bias, float* out,
+           const gemm::Epilogue* epi = nullptr) const;
 
   /// Pattern-panel entry that skips the full-k gather: `codes` is the
   /// already-compacted (k_compact, n) activation matrix whose row r holds
@@ -130,16 +133,20 @@ class PackedGemm {
   /// when pattern_active(); bitwise identical to run() on the full matrix
   /// (the dropped rows multiply all-zero weight columns).
   void run_compact(const std::int8_t* codes, float act_scale, std::int64_t n,
-                   const float* bias, float* out) const;
+                   const float* bias, float* out,
+                   const gemm::Epilogue* epi = nullptr) const;
 
   /// Transposed-activation variant for Linear: x laid out (n, k) row-major
   /// (one activation row per batch item), out(n, rows).
   void run_t(const QuantizedActs& x, const float* bias, Tensor& out) const;
 
   /// Raw-buffer variant of run_t(): `codes` is the (n, k) activation matrix,
-  /// `out` an (n, rows) buffer written in place.
+  /// `out` an (n, rows) buffer written in place. An active `epi` (channel =
+  /// output column, skip in `out`'s layout) is applied to each batch row as
+  /// soon as it is complete.
   void run_t(const std::int8_t* codes, float act_scale, std::int64_t n,
-             const float* bias, float* out) const;
+             const float* bias, float* out,
+             const gemm::Epilogue* epi = nullptr) const;
 
   std::int64_t rows() const { return rows_; }
   std::int64_t k() const { return k_; }

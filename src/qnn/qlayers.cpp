@@ -60,7 +60,7 @@ void PackedConv2d::refresh() {
   packed_version_ = weight_->version;
 }
 
-Tensor PackedConv2d::forward(const Tensor& x) {
+Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi) {
   prof::Span span(engine_name());
   // Staleness check runs serially, before the batch fan-out: a weight
   // mutated after lowering repacks exactly once through the cache.
@@ -78,12 +78,19 @@ Tensor PackedConv2d::forward(const Tensor& x) {
   // BEFORE im2col — K*K times less quantization work, and the gather moves
   // int8 instead of float — which yields the same scale and codes as
   // quantizing the column matrix (same value multiset). The GEMM writes
-  // straight into the output slice with bias fused into its initial fill.
+  // straight into the output slice with bias fused into its initial fill and
+  // the epilogue (if any) into its final store.
   parallel::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
       workspace::Scope ws;
       const float* xs = x.data() + b * in_c_ * h * w;
       float* ys = out.data() + b * out_c_ * oh * ow;
+      gemm::Epilogue item_epi;
+      if (epi != nullptr) {
+        item_epi = *epi;
+        if (epi->skip != nullptr) item_epi.skip += b * out_c_ * oh * ow;
+      }
+      const gemm::Epilogue* ep = epi != nullptr ? &item_epi : nullptr;
       std::int8_t* qcodes = ws.i8(in_c_ * h * w);
       float sx;
       {
@@ -93,7 +100,7 @@ Tensor PackedConv2d::forward(const Tensor& x) {
       if (kernel_ == 1 && stride_ == 1 && pad_ == 0) {
         // 1x1 conv: the column matrix IS the quantized map; no gather.
         prof::Span gspan("qnn.qgemm");
-        gemm_->run(qcodes, sx, oh * ow, bias, ys);
+        gemm_->run(qcodes, sx, oh * ow, bias, ys, ep);
       } else if (gemm_->pattern_active()) {
         // Pattern panel: gather ONLY the surviving kernel taps — the column
         // matrix (and the GEMM's k) shrink by the pruned fraction, and the
@@ -112,7 +119,7 @@ Tensor PackedConv2d::forward(const Tensor& x) {
                                static_cast<std::int64_t>(taps.size()), cols);
         }
         prof::Span gspan("qnn.qgemm");
-        gemm_->run_compact(cols, sx, oh * ow, bias, ys);
+        gemm_->run_compact(cols, sx, oh * ow, bias, ys, ep);
       } else {
         std::int8_t* cols =
             ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);
@@ -121,7 +128,7 @@ Tensor PackedConv2d::forward(const Tensor& x) {
           im2col_codes_into(qcodes, in_c_, h, w, kernel_, stride_, pad_, cols);
         }
         prof::Span gspan("qnn.qgemm");
-        gemm_->run(cols, sx, oh * ow, bias, ys);
+        gemm_->run(cols, sx, oh * ow, bias, ys, ep);
       }
     }
   });
@@ -149,7 +156,7 @@ void PackedLinear::refresh() {
   packed_version_ = weight_->version;
 }
 
-Tensor PackedLinear::forward(const Tensor& x) {
+Tensor PackedLinear::forward(const Tensor& x, const gemm::Epilogue* epi) {
   prof::Span span(engine_name());
   if (weight_->version != packed_version_) refresh();
   UPAQ_CHECK(x.rank() == 2 && x.dim(1) == in_f_,
@@ -159,7 +166,7 @@ Tensor PackedLinear::forward(const Tensor& x) {
   std::int8_t* qcodes = ws.i8(x.numel());
   const float sx = quantize_acts_into(x.data(), x.numel(), act_bits_, qcodes);
   gemm_->run_t(qcodes, sx, x.dim(0), bias_.empty() ? nullptr : bias_.data(),
-              out.data());
+               out.data(), epi);
   return out;
 }
 

@@ -34,7 +34,8 @@ class PackedConv2d final : public nn::ForwardEngine {
   /// mutated after lowering.
   PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec);
 
-  Tensor forward(const Tensor& x) override;
+  using nn::ForwardEngine::forward;
+  Tensor forward(const Tensor& x, const gemm::Epilogue* epi) override;
   const char* engine_name() const override { return "qnn.packed_conv2d"; }
 
   const PackedGemm& gemm() const { return *gemm_; }
@@ -57,7 +58,8 @@ class PackedLinear final : public nn::ForwardEngine {
  public:
   PackedLinear(const nn::Linear& linear, const LowerSpec& spec);
 
-  Tensor forward(const Tensor& x) override;
+  using nn::ForwardEngine::forward;
+  Tensor forward(const Tensor& x, const gemm::Epilogue* epi) override;
   const char* engine_name() const override { return "qnn.packed_linear"; }
 
   const PackedGemm& gemm() const { return *gemm_; }

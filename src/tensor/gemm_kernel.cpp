@@ -8,6 +8,30 @@
 #include "prof/prof.h"
 #include "tensor/workspace.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
+// Requantization is contractually one float multiply then one float add per
+// element (two roundings). This TU compiles with -march=native where the
+// compiler may contract a visible mul+add pair into a single-rounding FMA —
+// and it is free to do so in one code path (say the vector flush) but not
+// another (a scalar tail), which would break the bitwise equivalence between
+// the segment and panel paths. The empty asm pins the product to a register
+// between the two operations, making contraction impossible everywhere, so
+// every integer path requantizes with the exact same two roundings. The
+// inference epilogue pins its BN product the same way: the standalone
+// BatchNorm2d it must match compiles without FMA.
+#if defined(__GNUC__) || defined(__clang__)
+#if defined(__x86_64__) || defined(__i386__)
+#define UPAQ_NO_CONTRACT(v) asm("" : "+x"(v))
+#else
+#define UPAQ_NO_CONTRACT(v) asm("" : "+g"(v))
+#endif
+#else
+#define UPAQ_NO_CONTRACT(v) (void)(v)
+#endif
+
 namespace upaq::gemm {
 
 namespace {
@@ -20,6 +44,90 @@ constexpr std::int64_t kSparseRowGrain = 8;
 
 std::int64_t round_up(std::int64_t v, std::int64_t m) {
   return (v + m - 1) / m * m;
+}
+
+// ------------------------------------------------------ inference epilogue
+//
+// The scalar and 8-lane forms below spell out the same per-element sequence
+// (see gemm::Epilogue): BN as sub, mul, mul, then add with the product
+// pinned in a register so -march=native cannot fuse it into an FMA; the
+// residual as one add; the activation as a select between v and v * slope
+// (never a branch around the multiply, so the product's bits — -0.0, the
+// NaN of -inf * 0 — are what lands). Every kernel routes its final store
+// through these, so the fused output is bitwise the unfused layers' output
+// at any vector width, tail or thread count.
+
+/// One channel's BN terms (unused when the epilogue has no BN).
+struct EpiTerms {
+  float g = 0.0f, mu = 0.0f, is = 0.0f, be = 0.0f;
+};
+
+inline EpiTerms epi_terms(const Epilogue& e, std::int64_t ch) {
+  if (e.gamma == nullptr) return {};
+  return {e.gamma[ch], e.mean[ch], e.inv_std[ch], e.beta[ch]};
+}
+
+inline float epi_one(const Epilogue& e, const EpiTerms& t, float v,
+                     const float* s) {
+  if (e.gamma != nullptr) {
+    float p = t.g * (v - t.mu);
+    p = p * t.is;
+    UPAQ_NO_CONTRACT(p);
+    v = p + t.be;
+  }
+  if (e.skip != nullptr) v = v + *s;
+  if (e.relu) {
+    const float a = v * e.slope;
+    v = v < 0.0f ? a : v;
+  }
+  return v;
+}
+
+#if defined(__AVX2__)
+struct EpiVec {
+  __m256 g, mu, is, be, slope;
+};
+
+inline EpiVec epi_vec(const Epilogue& e, const EpiTerms& t) {
+  return {_mm256_set1_ps(t.g), _mm256_set1_ps(t.mu), _mm256_set1_ps(t.is),
+          _mm256_set1_ps(t.be), _mm256_set1_ps(e.slope)};
+}
+
+inline __m256 epi8(const Epilogue& e, const EpiVec& c, __m256 v,
+                   const float* s) {
+  if (e.gamma != nullptr) {
+    __m256 p = _mm256_mul_ps(_mm256_mul_ps(c.g, _mm256_sub_ps(v, c.mu)), c.is);
+    UPAQ_NO_CONTRACT(p);
+    v = _mm256_add_ps(p, c.be);
+  }
+  if (e.skip != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(s));
+  if (e.relu) {
+    const __m256 a = _mm256_mul_ps(v, c.slope);
+    v = _mm256_blendv_ps(
+        v, a, _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_LT_OQ));
+  }
+  return v;
+}
+#endif
+
+/// Residual of the output element at flat offset `off` (null when the
+/// epilogue has none — never offset a null pointer).
+inline const float* epi_skip(const Epilogue& e, std::int64_t off) {
+  return e.skip != nullptr ? e.skip + off : nullptr;
+}
+
+/// Epilogue over `len` contiguous outputs of channel `ch`.
+inline void epi_run(const Epilogue& e, std::int64_t ch, float* y,
+                    const float* s, std::int64_t len) {
+  if (s == nullptr) s = y;  // never read: e.skip is null
+  const EpiTerms t = epi_terms(e, ch);
+  std::int64_t j = 0;
+#if defined(__AVX2__)
+  const EpiVec c = epi_vec(e, t);
+  for (; j + 8 <= len; j += 8)
+    _mm256_storeu_ps(y + j, epi8(e, c, _mm256_loadu_ps(y + j), s + j));
+#endif
+  for (; j < len; ++j) y[j] = epi_one(e, t, y[j], s + j);
 }
 
 /// MR x NR register micro-tile over one KC slab, written to `acc`.
@@ -124,7 +232,8 @@ void pack_b_slab(float* dst, const float* b, std::int64_t k, std::int64_t n,
 /// pure function of (shapes, values), never the thread count.
 template <bool BT>
 void run_blocked(const float* ap, std::int64_t m, std::int64_t k,
-                 const float* b, float* c, std::int64_t n, float alpha) {
+                 const float* b, float* c, std::int64_t n, float alpha,
+                 const Epilogue* epi = nullptr) {
   const std::int64_t mpad = round_up(m, kMR);
   const std::int64_t row_panels = mpad / kMR;
   const std::int64_t stripes = (n + kNC - 1) / kNC;
@@ -150,6 +259,14 @@ void run_blocked(const float* ap, std::int64_t m, std::int64_t k,
               for (std::int64_t j = 0; j < jv; ++j)
                 crow[j] += alpha * acc[r * kNR + j];
             }
+            // Last slab: the tile is final, apply the epilogue while it is
+            // still in L1.
+            if (epi != nullptr && pc + kc == k) {
+              for (std::int64_t r = 0; r < rv; ++r) {
+                const std::int64_t off = (ip * kMR + r) * n + jc + jp * kNR;
+                epi_run(*epi, ip * kMR + r, c + off, epi_skip(*epi, off), jv);
+              }
+            }
           }
         }
       }
@@ -165,7 +282,8 @@ void run_blocked(const float* ap, std::int64_t m, std::int64_t k,
 /// Zero-skipping row kernel (the pre-blocking i-k-j loop): per-element skips
 /// make pattern-pruned weight rows cheap, which dense panel math cannot do.
 void run_rowskip(const float* a, const float* b, float* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n, float alpha) {
+                 std::int64_t k, std::int64_t n, float alpha,
+                 const Epilogue* epi) {
   auto rows = [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       float* crow = c + i * n;
@@ -175,6 +293,7 @@ void run_rowskip(const float* a, const float* b, float* c, std::int64_t m,
         const float* brow = b + kk * n;
         for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
+      if (epi != nullptr) epi_run(*epi, i, crow, epi_skip(*epi, i * n), n);
     }
   };
   if (m * k * n < kMinParallelWork) {
@@ -222,7 +341,7 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
   if (m <= 0 || k <= 0 || n <= 0) return;
   count_call(m, k, n);
   if (mostly_zero(a, m * k)) {
-    run_rowskip(a, b, c, m, k, n, alpha);
+    run_rowskip(a, b, c, m, k, n, alpha, nullptr);
     return;
   }
   workspace::Scope ws;
@@ -236,14 +355,32 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 }
 
 void gemm_packed(const PackedA& a, const float* b, float* c, std::int64_t n,
-                 float alpha) {
+                 float alpha, const Epilogue* epi) {
   if (a.m <= 0 || a.k <= 0 || n <= 0) return;
+  if (epi != nullptr && !epi->active()) epi = nullptr;
   count_call(a.m, a.k, n);
   if (a.sparse) {
-    run_rowskip(a.data.data(), b, c, a.m, a.k, n, alpha);
+    run_rowskip(a.data.data(), b, c, a.m, a.k, n, alpha, epi);
     return;
   }
-  run_blocked<false>(a.data.data(), a.m, a.k, b, c, n, alpha);
+  run_blocked<false>(a.data.data(), a.m, a.k, b, c, n, alpha, epi);
+}
+
+void epilogue_row(const Epilogue& e, float* y, const float* skip,
+                  std::int64_t channels) {
+  const float* s = e.skip != nullptr ? skip : y;  // y: never read
+  std::int64_t j = 0;
+#if defined(__AVX2__)
+  EpiVec c = epi_vec(e, EpiTerms{});
+  for (; j + 8 <= channels; j += 8) {
+    if (e.gamma != nullptr)  // per-lane channel terms
+      c = {_mm256_loadu_ps(e.gamma + j), _mm256_loadu_ps(e.mean + j),
+           _mm256_loadu_ps(e.inv_std + j), _mm256_loadu_ps(e.beta + j),
+           c.slope};
+    _mm256_storeu_ps(y + j, epi8(e, c, _mm256_loadu_ps(y + j), s + j));
+  }
+#endif
+  for (; j < channels; ++j) y[j] = epi_one(e, epi_terms(e, j), y[j], s + j);
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
@@ -274,29 +411,8 @@ void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
 
 // ------------------------------------------------------- int8 panel kernels
 
-// Requantization is contractually one float multiply then one float add per
-// element (two roundings). This TU compiles with -march=native where the
-// compiler may contract a visible mul+add pair into a single-rounding FMA —
-// and it is free to do so in one code path (say the vector flush) but not
-// another (a scalar tail), which would break the bitwise equivalence between
-// the segment and panel paths. The empty asm pins the product to a register
-// between the two operations, making contraction impossible everywhere, so
-// every integer path requantizes with the exact same two roundings.
-#if defined(__GNUC__) || defined(__clang__)
-#if defined(__x86_64__) || defined(__i386__)
-#define UPAQ_NO_CONTRACT(v) asm("" : "+x"(v))
-#else
-#define UPAQ_NO_CONTRACT(v) asm("" : "+g"(v))
-#endif
-#else
-#define UPAQ_NO_CONTRACT(v) (void)(v)
-#endif
-
 #if defined(__GNUC__) || defined(__clang__)
 #define UPAQ_S8_VEC 1
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 namespace {
 typedef std::int8_t v8qi __attribute__((vector_size(8)));
 typedef std::int32_t v8si __attribute__((vector_size(32)));
@@ -400,7 +516,8 @@ namespace {
 void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
                     const QSegment* segs, std::int64_t s0, std::int64_t s1,
                     const std::int8_t* qx, float sx, std::int64_t n,
-                    std::int64_t j0, float bias_v, float* yb) {
+                    std::int64_t j0, float bias_v, float* yb,
+                    const Epilogue* epi, const EpiVec& ev, const float* skip) {
   __m256 y0 = _mm256_set1_ps(bias_v);
   __m256 y1 = y0;
   for (std::int64_t si = s0; si < s1; ++si) {
@@ -441,6 +558,10 @@ void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
     UPAQ_NO_CONTRACT(t1);
     y1 = _mm256_add_ps(y1, t1);
   }
+  if (epi != nullptr) {  // the block is final: epilogue in registers
+    y0 = epi8(*epi, ev, y0, skip);
+    y1 = epi8(*epi, ev, y1, skip + 8);
+  }
   _mm256_storeu_ps(yb, y0);
   _mm256_storeu_ps(yb + 8, y1);
 }
@@ -452,18 +573,24 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
                       std::int64_t rows, std::int64_t k, const std::int8_t* qx,
                       float sx, std::int64_t n, const float* bias, float* y,
-                      bool codes_fit_i8) {
+                      bool codes_fit_i8, const Epilogue* epi) {
   constexpr std::int64_t kRowGrainI8 = 8;
+  if (epi != nullptr && !epi->active()) epi = nullptr;
 #if defined(UPAQ_S8_VEC) && defined(__AVX2__)
   if (codes_fit_i8) {
     auto row_block = [&](std::int64_t r0, std::int64_t r1) {
       for (std::int64_t r = r0; r < r1; ++r) {
         float* yrow = y + r * n;
         const float bv = bias != nullptr ? bias[r] : 0.0f;
+        const EpiVec ev =
+            epi != nullptr ? epi_vec(*epi, epi_terms(*epi, r)) : EpiVec{};
+        // Residual row (y itself when there is none: never read).
+        const float* srow =
+            epi != nullptr && epi->skip != nullptr ? epi->skip + r * n : yrow;
         std::int64_t j0 = 0;
         for (; j0 + 16 <= n; j0 += 16)
           s8_row_block16(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
-                         sx, n, j0, bv, yrow + j0);
+                         sx, n, j0, bv, yrow + j0, epi, ev, srow + j0);
         if (j0 < n) {
           // Column tail (< 16): the scalar-order fused kernels replay the
           // same bias-then-segments element sequence.
@@ -484,6 +611,7 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
               s8_requant_add(iacc, nb, m, yrow + j0);
             }
           }
+          if (epi != nullptr) epi_run(*epi, r, yrow + j0, srow + j0, nb);
         }
       }
     };
@@ -532,6 +660,8 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
             s8_requant_add(iacc, nb, m, yb);
           }
         }
+        if (epi != nullptr)
+          epi_run(*epi, r, yrow + j0, epi_skip(*epi, r * n + j0), nb);
       }
     }
   };
@@ -1136,8 +1266,27 @@ void q4_micro_tile(const std::int8_t* ap, const std::int8_t* bp,
 
 }  // namespace
 
+namespace {
+
+/// Panel kernels' epilogue: once the last slab's micro-tile for row panel
+/// `ip` and columns [jcol, jcol + jv) is done, every one of its outputs is
+/// final (no later slab touches them).
+void panel_tile_epilogue(const Epilogue& e, float* y, std::int64_t m,
+                         std::int64_t n, std::int64_t ip, std::int64_t jcol,
+                         std::int64_t jv) {
+  const std::int64_t rv = std::min(kQMR, m - ip * kQMR);
+  for (std::int64_t r = 0; r < rv; ++r) {
+    const std::int64_t row = ip * kQMR + r;
+    const std::int64_t off = row * n + jcol;
+    epi_run(e, row, y + off, epi_skip(e, off), jv);
+  }
+}
+
+}  // namespace
+
 void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y) {
+                   std::int64_t n, float* y, const Epilogue* epi) {
+  if (epi != nullptr && !epi->active()) epi = nullptr;
   const std::int64_t m = w.m, k = w.k, slab = w.slab;
   const std::int64_t mpad = round_up(m, kQMR);
   const std::int64_t row_panels = mpad / kQMR;
@@ -1173,6 +1322,8 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
             q8_micro_tile(aslab + ip * kQMR * kcp, bp + jp * kcp * kQNR, kc,
                           pc, lo, hi, sx, y, n, jc + jp * kQNR, jv, ip * kQMR,
                           m);
+            if (epi != nullptr && pc + kc == k)
+              panel_tile_epilogue(*epi, y, m, n, ip, jc + jp * kQNR, jv);
           }
         }
       }
@@ -1186,7 +1337,8 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
 }
 
 void q4_gemm_panel(const Q4PanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y) {
+                   std::int64_t n, float* y, const Epilogue* epi) {
+  if (epi != nullptr && !epi->active()) epi = nullptr;
   const std::int64_t m = w.m, k = w.k, slab = w.slab;
   const std::int64_t mpad = round_up(m, kQMR);
   const std::int64_t row_panels = mpad / kQMR;
@@ -1222,6 +1374,8 @@ void q4_gemm_panel(const Q4PanelA& w, const std::int8_t* qx, float sx,
             q4_micro_tile(aslab + ip * qn * 2 * kQMR, bp + jp * qn * 32, kc,
                           pc, lo, hi, sx, ps, y, n, jc + jp * kQNR, jv,
                           ip * kQMR);
+            if (epi != nullptr && pc + kc == k)
+              panel_tile_epilogue(*epi, y, m, n, ip, jc + jp * kQNR, jv);
           }
         }
       }

@@ -45,6 +45,43 @@ inline constexpr std::int64_t kNC = 256;
 // dense panel math (pattern-pruned weights sit at 6/9 .. 7/9 zeros).
 inline constexpr double kSparseZeroFraction = 0.5;
 
+/// Inference epilogue applied in a kernel's final output store: the eval-mode
+/// BatchNorm -> residual add -> ReLU/LeakyReLU tail of a Conv2d/Linear,
+/// fused so no standalone pass re-reads the output. Each part is optional.
+/// Per element v of output channel ch the operation order is exactly the
+/// unfused layers':
+///   v = ((gamma[ch] * (v - mean[ch])) * inv_std[ch]) + beta[ch]   (BN)
+///   v = v + skip[i]                                               (residual)
+///   v = v < 0 ? v * slope : v                                     (ReLU)
+/// with the BN product pinned against FMA contraction, so the fused output
+/// is bitwise the layer-by-layer output at any vector width. The select
+/// keeps the bits of v * slope (-0.0 for a negative v under plain ReLU, NaN
+/// for -inf), and NaN inputs pass through unchanged.
+///
+/// `skip` uses the output's own layout and is indexed at the same offset as
+/// the element being stored. Which output axis is the channel depends on the
+/// kernel: rows for the (out_c, n) GEMMs, columns for the (n, out_f) PFN
+/// batch-dot.
+struct Epilogue {
+  const float* gamma = nullptr;  ///< BN terms; all four null = no BN
+  const float* mean = nullptr;
+  const float* inv_std = nullptr;
+  const float* beta = nullptr;
+  const float* skip = nullptr;   ///< residual input; null = none
+  bool relu = false;
+  float slope = 0.0f;            ///< negative slope (0 = ReLU)
+  bool active() const {
+    return gamma != nullptr || skip != nullptr || relu;
+  }
+};
+
+/// Applies `e` to one (channels)-long output row whose element j belongs to
+/// channel j — the (n, out_f) Linear layout, for the Linear forwards that
+/// do not run through a kernel here. `skip` points at the residual of y[0]
+/// (ignored unless e.skip is set).
+void epilogue_row(const Epilogue& e, float* y, const float* skip,
+                  std::int64_t channels);
+
 /// Pre-packed form of an (m x k) row-major A matrix, so steady-state callers
 /// (conv weights) skip both the 2-D view copy and the per-call panel pack.
 /// The representation matches the dispatch the values ask for: panel-packed
@@ -66,8 +103,10 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, float alpha);
 
 /// gemm() over a pre-packed A (no per-call classification or A pack).
+/// With an active `epi` (channel = row of C, skip in C's layout) every C
+/// tile gets the epilogue right after its last K slab lands.
 void gemm_packed(const PackedA& a, const float* b, float* c, std::int64_t n,
-                 float alpha);
+                 float alpha, const Epilogue* epi = nullptr);
 
 /// C(m,n) += alpha * A(m,k) * B(n,k)^T — both operands row-major, B read as
 /// its transpose (the conv dW orientation). Always blocked: the B panel pack
@@ -116,8 +155,10 @@ struct QSegment {
 /// with the fused 1/2/3-entry kernels and the generic int32-accumulate path.
 /// Per output element the operation order is: bias fill, then one
 /// requantizing multiply-add per segment in ascending segment order — the
-/// invariant every other integer path reproduces. Parallel over row blocks
-/// (disjoint outputs, shape-only gating), so thread-count independent.
+/// invariant every other integer path reproduces — then, with an active
+/// `epi` (channel = row), the epilogue as the row block's final store.
+/// Parallel over row blocks (disjoint outputs, shape-only gating), so
+/// thread-count independent.
 ///
 /// `codes_fit_i8` (every |code| <= 127, i.e. weight bits <= 8) unlocks the
 /// vpmaddubsw 2-MACs/lane sub-byte kernel: entry pairs multiply as
@@ -130,7 +171,8 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
                       std::int64_t rows, std::int64_t k, const std::int8_t* qx,
                       float sx, std::int64_t n, const float* bias, float* y,
-                      bool codes_fit_i8 = false);
+                      bool codes_fit_i8 = false,
+                      const Epilogue* epi = nullptr);
 
 // ---------------------------------------------------------------------------
 // Panel-packed int8 GEMM (the dense-ish branch of the qnn integer path).
@@ -191,9 +233,11 @@ void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
 
 /// y(m, n) += requant(Wq * Xq) over a panel-packed weight: qx is the (k, n)
 /// row-major int8 activation matrix, sx its scale; y must already hold the
-/// bias fill. Parallel grain: one kQNC column stripe per chunk.
+/// bias fill. Parallel grain: one kQNC column stripe per chunk. An active
+/// `epi` (channel = row) is applied to each tile once its last slab's
+/// flushes have landed.
 void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y);
+                   std::int64_t n, float* y, const Epilogue* epi = nullptr);
 
 // ---------------------------------------------------------------------------
 // Nibble-packed int4 GEMM (native sub-byte branch of the qnn integer path).
@@ -239,9 +283,10 @@ void q4_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
 /// y(m, n) += requant(Wq * Xq) over a nibble-packed int4 weight: qx is the
 /// (k, n) row-major int8 activation matrix, sx its scale; y must already hold
 /// the bias fill. Parallel grain: one kQNC column stripe per chunk — bitwise
-/// identical to q8_gemm_panel / s8_gemm_segments on the same operands.
+/// identical to q8_gemm_panel / s8_gemm_segments on the same operands,
+/// epilogue included.
 void q4_gemm_panel(const Q4PanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y);
+                   std::int64_t n, float* y, const Epilogue* epi = nullptr);
 
 /// Symmetric activation quantization core (the hot half of
 /// qnn::quantize_acts_into, hosted here for the kernel TU's codegen):

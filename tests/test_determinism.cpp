@@ -8,13 +8,18 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "data/scene.h"
 #include "detectors/pointpillars.h"
+#include "detectors/smoke.h"
 #include "nn/module.h"
 #include "parallel/thread_pool.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 
 namespace upaq {
 namespace {
@@ -213,6 +218,191 @@ TEST(Determinism, PointPillarsForwardAndGradients) {
 
   auto [g1, g4] = run_both(grads_once);
   expect_bitwise_equal(g1, g4, "pointpillars loss+grads");
+}
+
+// ---------------------------------------------- detectors: fused inference
+
+using testing::expect_same_boxes;
+
+/// Non-trivial eval statistics for every BatchNorm, so the fused BN terms
+/// actually move the outputs.
+void randomize_bn(nn::Module& m, Rng& rng) {
+  for (const auto& l : m.layers())
+    if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(l.get())) {
+      const std::int64_t c = bn->channels();
+      bn->gamma().value = Tensor::uniform({c}, rng, 0.5f, 1.5f);
+      bn->beta().value = Tensor::uniform({c}, rng, -0.3f, 0.3f);
+      bn->running_mean() = Tensor::uniform({c}, rng, -0.3f, 0.3f);
+      bn->running_var() = Tensor::uniform({c}, rng, 0.5f, 2.0f);
+    }
+}
+
+detectors::PointPillarsConfig tiny_pp() {
+  auto cfg = detectors::PointPillarsConfig::scaled();
+  cfg.grid = 32;
+  cfg.pfn_channels = 8;
+  cfg.blocks = {{2, 8}, {1, 12}, {1, 16}};
+  cfg.up_channels = 8;
+  cfg.head_channels = 16;
+  cfg.score_threshold = 0.0f;  // decode every cell so outputs carry signal
+  return cfg;
+}
+
+detectors::SmokeConfig tiny_smoke() {
+  auto cfg = detectors::SmokeConfig::scaled();
+  cfg.camera.width = 64;
+  cfg.camera.height = 48;
+  cfg.camera.cx = 32.0f;
+  cfg.camera.cy = 26.0f;
+  cfg.camera.fx = 60.0f;
+  cfg.camera.fy = 60.0f;
+  cfg.stem_channels = 6;
+  cfg.stages = {{1, 8}, {2, 12}, {1, 16}};
+  cfg.up_channels = 12;
+  cfg.head_channels = 12;
+  cfg.score_threshold = 0.0f;  // every heatmap peak up to top_k
+  return cfg;
+}
+
+/// detect() spelled out layer by layer — every layer's own forward(), the
+/// standalone BN / ReLU / Upsample and an explicit concat — the unfused
+/// reference the fused inference path must reproduce bitwise.
+std::vector<eval::Box3D> pp_layer_by_layer(detectors::PointPillars& m,
+                                           const data::Scene& scene) {
+  const auto& cfg = m.config();
+  const auto L = [&](const std::string& name) {
+    nn::Layer* l = m.find_layer(name);
+    EXPECT_NE(l, nullptr) << name;
+    return l;
+  };
+  const auto pil = m.pillarize(scene);
+  const Tensor feats =
+      L("pfn.relu")->forward(L("pfn.linear")->forward(pil.features));
+  const int c = cfg.pfn_channels, g = cfg.grid;
+  const int maxp = cfg.max_points_per_pillar;
+  Tensor pseudo({1, c, g, g});
+  for (std::size_t p = 0; p < pil.coords.size(); ++p) {
+    const auto [row, col] = pil.coords[p];
+    for (int ch = 0; ch < c; ++ch) {
+      float best = -std::numeric_limits<float>::infinity();
+      for (int i = 0; i < pil.valid_counts[p]; ++i)
+        best = std::max(best, feats.at(static_cast<std::int64_t>(p) * maxp + i,
+                                       ch));
+      pseudo.at(0, ch, row, col) = best;
+    }
+  }
+  Tensor y = pseudo;
+  std::vector<Tensor> ups;
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    const std::string base = "block" + std::to_string(b);
+    for (int i = 0; i < cfg.blocks[b].first; ++i) {
+      const std::string k = std::to_string(i);
+      y = L(base + ".conv" + k)->forward(y);
+      y = L(base + ".bn" + k)->forward(y);
+      y = L(base + ".relu" + k)->forward(y);
+    }
+    const std::string up = "up" + std::to_string(b);
+    Tensor u = L(up + ".conv")->forward(y);
+    if (b > 0) u = L(up + ".upsample")->forward(u);
+    ups.push_back(std::move(u));
+  }
+  Tensor t = L("head.conv0")->forward(nn::concat_channels(ups));
+  t = L("head.relu0")->forward(L("head.bn0")->forward(t));
+  return m.decode(L("head.cls")->forward(t), L("head.reg")->forward(t));
+}
+
+std::vector<eval::Box3D> smoke_layer_by_layer(detectors::Smoke& m,
+                                              const data::Scene& scene) {
+  const auto& cfg = m.config();
+  const auto L = [&](const std::string& name) {
+    nn::Layer* l = m.find_layer(name);
+    EXPECT_NE(l, nullptr) << name;
+    return l;
+  };
+  const auto cbr = [&](const std::string& base, Tensor x) {
+    x = L(base + ".conv")->forward(x);
+    x = L(base + ".bn")->forward(x);
+    return L(base + ".relu")->forward(x);
+  };
+  Tensor y = cbr("stem", m.render(scene).reshape(
+                             {1, 3, cfg.camera.height, cfg.camera.width}));
+  for (std::size_t s = 0; s < cfg.stages.size(); ++s) {
+    const std::string base = "stage" + std::to_string(s);
+    y = cbr(base + ".down", y);
+    for (int u = 0; u < cfg.stages[s].first; ++u) {
+      const std::string ub = base + ".res" + std::to_string(u);
+      Tensor t = L(ub + ".bn")->forward(L(ub + ".conv")->forward(y));
+      t.add_(y);
+      y = L(ub + ".relu")->forward(t);
+    }
+  }
+  if (nn::Layer* up = m.find_layer("neck.upsample")) y = up->forward(y);
+  y = cbr("neck", y);
+  const Tensor hm =
+      L("hm.out")->forward(L("hm.relu")->forward(L("hm.conv")->forward(y)));
+  const Tensor reg =
+      L("reg.out")->forward(L("reg.relu")->forward(L("reg.conv")->forward(y)));
+  return m.decode(hm, reg);
+}
+
+data::Scene determinism_scene() {
+  Rng srng(107);
+  return data::SceneGenerator().sample(srng);
+}
+
+std::unique_ptr<detectors::PointPillars> make_pp(bool lowered) {
+  Rng rng(108);
+  auto m = std::make_unique<detectors::PointPillars>(tiny_pp(), rng);
+  randomize_bn(*m, rng);
+  m->set_training(false);
+  if (lowered) EXPECT_GT(testing::lower_all_cycling_kernels(*m), 0);
+  return m;
+}
+
+std::unique_ptr<detectors::Smoke> make_smoke(bool lowered) {
+  Rng rng(109);
+  auto m = std::make_unique<detectors::Smoke>(tiny_smoke(), rng);
+  randomize_bn(*m, rng);
+  m->set_training(false);
+  if (lowered) EXPECT_GT(testing::lower_all_cycling_kernels(*m), 0);
+  return m;
+}
+
+TEST(Determinism, SmokeDetectThreadCountInvariantFp32AndLowered) {
+  const data::Scene scene = determinism_scene();
+  for (const bool lowered : {false, true}) {
+    auto m = make_smoke(lowered);
+    parallel::set_thread_count(1);
+    const auto boxes1 = m->detect(scene);
+    parallel::set_thread_count(4);
+    const auto boxes4 = m->detect(scene);
+    parallel::set_thread_count(1);
+    ASSERT_FALSE(boxes1.empty());
+    expect_same_boxes(boxes1, boxes4,
+                      lowered ? "smoke lowered 1v4" : "smoke fp32 1v4");
+  }
+}
+
+TEST(Determinism, DetectFusedMatchesLayerByLayerFp32AndLowered) {
+  const data::Scene scene = determinism_scene();
+  for (const bool lowered : {false, true}) {
+    const std::string tag = lowered ? " lowered" : " fp32";
+    auto pp = make_pp(lowered);
+    auto smoke = make_smoke(lowered);
+    for (const int threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      const std::string at = tag + " threads=" + std::to_string(threads);
+      const auto pp_fused = pp->detect(scene);
+      ASSERT_FALSE(pp_fused.empty());
+      expect_same_boxes(pp_fused, pp_layer_by_layer(*pp, scene),
+                        "pointpillars" + at);
+      const auto smoke_fused = smoke->detect(scene);
+      ASSERT_FALSE(smoke_fused.empty());
+      expect_same_boxes(smoke_fused, smoke_layer_by_layer(*smoke, scene),
+                        "smoke" + at);
+    }
+    parallel::set_thread_count(1);
+  }
 }
 
 }  // namespace

@@ -1,16 +1,24 @@
 // NN framework tests: analytic backward passes are validated against finite
 // differences for every layer, plus module/state-dict behaviour, mask
-// semantics, and the concat/split helpers.
+// semantics, the concat/split helpers, and the fused inference epilogue
+// (fused == layer by layer, bitwise) on the fp32 kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
 
 #include "nn/module.h"
+#include "prof/prof.h"
 #include "test_util.h"
 
 namespace upaq {
 namespace {
 
+using testing::check_fused_matches_layers;
+using testing::expect_bits_equal;
+using testing::fuse_cases;
 using testing::gradcheck_layer;
 
 TEST(Conv2d, ForwardKnownValues) {
@@ -344,6 +352,130 @@ TEST(Parameter, SparsityAndProject) {
   p.project();
   EXPECT_EQ(p.value.count_nonzero(), 2);
   EXPECT_NEAR(p.sparsity(), 0.5, 1e-12);
+}
+
+// ------------------------------------------------------- fused epilogue
+
+/// Conv2d whose fp32 GEMM takes the blocked panel kernel (dense weights) or
+/// the zero-skipping row kernel (two thirds of the weights zero).
+std::unique_ptr<nn::Conv2d> make_fp32_conv(std::int64_t in_c,
+                                           std::int64_t out_c, bool bias,
+                                           bool sparse, Rng& rng) {
+  auto conv = std::make_unique<nn::Conv2d>(in_c, out_c, 3, 1, 1, bias, rng,
+                                           "fused.conv");
+  if (sparse) {
+    for (std::int64_t i = 0; i < conv->weight().value.numel(); ++i)
+      if (i % 3 != 0) conv->weight().value[i] = 0.0f;
+    conv->weight().mark_mutated();
+  }
+  if (bias) testing::set_edge_bias(*conv->bias(), rng);
+  conv->set_training(false);
+  return conv;
+}
+
+TEST(FusedEpilogue, Fp32ConvKernelsMatchLayerByLayerBitwise) {
+  // Odd spatial sizes leave vector tails in every tile; batch 2 checks the
+  // per-item residual offset; the 64-channel geometry has k = 576 > kKC
+  // (multi-slab: the epilogue must wait for the last slab) and n = 289 >
+  // kNC (multi-stripe).
+  struct Geometry {
+    std::int64_t n, in_c, out_c, h, w;
+  };
+  for (const Geometry g : {Geometry{2, 5, 11, 9, 13}, Geometry{1, 64, 13, 17, 17}})
+    for (const bool sparse : {false, true})
+      for (const bool bias : {false, true}) {
+        Rng rng(700 + g.in_c + sparse * 10 + bias);
+        const auto conv = make_fp32_conv(g.in_c, g.out_c, bias, sparse, rng);
+        const Tensor x =
+            testing::finite_edge_tensor({g.n, g.in_c, g.h, g.w}, rng);
+        const std::string what =
+            std::string(sparse ? "row-skip" : "blocked") + " in_c=" +
+            std::to_string(g.in_c) + " bias=" + std::to_string(bias);
+        for (const auto& c : fuse_cases(/*with_bn=*/true))
+          check_fused_matches_layers(*conv, x, c, rng, what);
+      }
+}
+
+TEST(FusedEpilogue, Fp32LinearMatchesLayerByLayerBitwise) {
+  // 19 output channels: two 8-lane groups plus a 3-wide scalar tail of the
+  // channel-per-column epilogue.
+  for (const bool bias : {false, true}) {
+    Rng rng(720 + bias);
+    nn::Linear lin(9, 19, bias, rng, "fused.linear");
+    if (bias) testing::set_edge_bias(*lin.bias(), rng);
+    const Tensor x = testing::finite_edge_tensor({37, 9}, rng);
+    for (const auto& c : fuse_cases(/*with_bn=*/false))
+      check_fused_matches_layers(lin, x, c, rng,
+                                 "fp32 linear bias=" + std::to_string(bias));
+  }
+}
+
+TEST(FusedEpilogue, FusionNeedsEvalModeAndMatchingShapes) {
+  Rng rng(730);
+  nn::Conv2d conv(3, 8, 3, 1, 1, false, rng, "c");
+  nn::BatchNorm2d bn8(8, rng, "bn8"), bn4(4, rng, "bn4");
+  bn8.set_training(false);
+  bn4.set_training(false);
+  const Tensor x = Tensor::uniform({1, 3, 6, 6}, rng);
+  conv.set_training(true);
+  EXPECT_THROW(conv.forward(x, {.bn = &bn8}), std::invalid_argument);
+  conv.set_training(false);
+  EXPECT_THROW(conv.forward(x, {.bn = &bn4}), std::invalid_argument);
+  const Tensor wrong = Tensor::uniform({1, 8, 5, 6}, rng);
+  EXPECT_THROW(conv.forward(x, {.residual = &wrong}), std::invalid_argument);
+  bn8.set_training(true);
+  EXPECT_THROW(conv.forward(x, {.bn = &bn8}), std::invalid_argument);
+  // Layers without a fused store refuse instead of silently running unfused.
+  nn::Relu relu("r");
+  relu.set_training(false);
+  EXPECT_THROW(relu.forward(x, {.act = &relu}), std::invalid_argument);
+}
+
+TEST(FusedEpilogue, EvalSequentialFusesAndMatchesLayerByLayer) {
+  Rng rng(740);
+  nn::Module m;
+  auto* conv = m.add<nn::Conv2d>(3, 8, 3, 1, 1, true, rng, "conv");
+  auto* bn = m.add<nn::BatchNorm2d>(8, rng, "bn");
+  auto* relu = m.add<nn::Relu>("relu", 0.1f);
+  auto* conv2 = m.add<nn::Conv2d>(8, 9, 1, 1, 0, false, rng, "conv2");
+  auto* relu2 = m.add<nn::Relu>("relu2");
+  auto* up = m.add<nn::Upsample>(2, "up");
+  m.set_training(false);
+  testing::set_edge_bn(*bn, rng);
+  nn::Sequential seq;
+  seq.then(conv).then(bn).then(relu).then(conv2).then(relu2).then(up);
+  const Tensor x = testing::finite_edge_tensor({2, 3, 7, 5}, rng);
+
+  Tensor ref = x;
+  for (auto* l : seq.chain()) ref = l->forward(ref);
+
+  // Fused: no span for the absorbed BN / ReLU layers.
+  prof::reset();
+  prof::set_enabled(true);
+  const Tensor y = seq.forward(x);
+  prof::set_enabled(false);
+  expect_bits_equal(y, ref, "eval Sequential");
+  std::set<std::string> names;
+  for (const auto& e : prof::snapshot_events()) names.insert(e.name);
+  prof::reset();
+  EXPECT_TRUE(names.count("conv") && names.count("conv2") && names.count("up"));
+  EXPECT_FALSE(names.count("bn") || names.count("relu") || names.count("relu2"));
+}
+
+TEST(Upsample, IntoConcatSliceMatchesForwardThenConcat) {
+  Rng rng(750);
+  const Tensor a = Tensor::uniform({2, 3, 8, 8}, rng);
+  const Tensor b = testing::edge_tensor({2, 2, 4, 4}, rng);
+  const Tensor c = Tensor::uniform({2, 1, 2, 2}, rng);
+  nn::Upsample up2(2, "u2"), up4(4, "u4");
+  const Tensor ref =
+      nn::concat_channels({a, up2.forward(b), up4.forward(c)});
+  Tensor cat({2, 6, 8, 8});
+  nn::upsample_into(a, 1, cat, 0);
+  nn::upsample_into(b, 2, cat, 3);
+  nn::upsample_into(c, 4, cat, 5);
+  expect_bits_equal(cat, ref, "upsample_into concat");
+  EXPECT_THROW(nn::upsample_into(b, 2, cat, 5), std::invalid_argument);
 }
 
 }  // namespace

@@ -150,6 +150,13 @@ TEST_F(ProfTest, TogglingMidSpanIsSafe) {
   EXPECT_EQ(find_event(events, "open-while-off"), nullptr);
 }
 
+/// True for cost-profile rows that name a BatchNorm layer: eval-mode
+/// inference runs them fused into the preceding conv, with no span.
+bool is_fused_bn(detectors::PointPillars& model, const std::string& name) {
+  const nn::Layer* l = model.find_layer(name);
+  return l != nullptr && l->kind() == nn::LayerKind::kBatchNorm;
+}
+
 std::vector<eval::Box3D> detect_once(bool traced) {
   prof::set_enabled(traced);
   Rng rng(4242);
@@ -201,12 +208,18 @@ TEST_F(ProfTest, DetectorForwardCoversEveryProfiledLayer) {
        {"detect", "pre.pillarize", "pfn.maxpool", "pre.scatter", "post.nms"})
     EXPECT_TRUE(names.count(stage)) << "missing stage span: " << stage;
 
-  // Every weighted layer in the cost profile must have produced >= 1 span.
+  // Every weighted layer in the cost profile must have produced >= 1 span —
+  // except the BatchNorms, which eval mode fuses into the preceding conv's
+  // output store: they must produce none (their time is the conv's).
   Rng rng(4242);
   detectors::PointPillars model(detectors::PointPillarsConfig::scaled(), rng);
   for (const auto& p : model.cost_profile()) {
     if (p.weight_count == 0) continue;  // pre/post stages checked above
-    EXPECT_TRUE(names.count(p.name)) << "missing layer span: " << p.name;
+    if (is_fused_bn(model, p.name)) {
+      EXPECT_FALSE(names.count(p.name)) << "unfused BN span: " << p.name;
+    } else {
+      EXPECT_TRUE(names.count(p.name)) << "missing layer span: " << p.name;
+    }
   }
 
   // The GEMM and im2col counters moved during the forward.
@@ -389,17 +402,25 @@ TEST_F(ProfTest, CostReportMatchesProfiledLayersByName) {
       prof::snapshot_events(), cost_model, model.cost_profile(), /*passes=*/1);
 
   ASSERT_EQ(cmp.rows.size(), model.cost_profile().size());
-  int matched = 0;
+  int matched = 0, fused = 0;
   for (const auto& row : cmp.rows) {
     EXPECT_GT(row.modeled_ms, 0.0) << row.name;
+    if (is_fused_bn(model, row.name)) {
+      // Fused into the conv: no span, so the report must not invent one.
+      ++fused;
+      EXPECT_EQ(row.spans, 0) << row.name;
+      EXPECT_EQ(row.measured_ms, 0.0) << row.name;
+    }
     if (row.spans > 0) {
       ++matched;
       EXPECT_GT(row.measured_ms, 0.0) << row.name;
       EXPECT_GT(row.drift, 0.0) << row.name;
     }
   }
-  // Every profile entry is instrumented, so every row should be measured.
-  EXPECT_EQ(matched, static_cast<int>(cmp.rows.size()));
+  // Every other profile entry is instrumented, so every such row should be
+  // measured.
+  EXPECT_GT(fused, 0);
+  EXPECT_EQ(matched + fused, static_cast<int>(cmp.rows.size()));
   EXPECT_GT(cmp.measured_total_ms, 0.0);
   EXPECT_GT(cmp.modeled_total_ms, 0.0);
   EXPECT_GT(cmp.median_drift, 0.0);

@@ -8,7 +8,10 @@
 //     below gemm::kSparseZeroFraction takes the panel kernel);
 //   - 1-thread vs 4-thread bitwise determinism of the panel kernel;
 //   - the steady-state zero-allocation contract for panel scratch;
-//   - the qgemm_macs counter (surviving entries x columns, both paths).
+//   - the qgemm_macs counter (surviving entries x columns, both paths);
+//   - the fused inference epilogue on every integer kernel (segment, both
+//     its sub-byte and generic paths, int8 / int4 / pattern panels, and the
+//     PFN's run_t): fused == layer by layer, bitwise, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
+#include "test_util.h"
 
 namespace upaq {
 namespace {
@@ -639,6 +643,86 @@ TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
                          static_cast<std::uint64_t>(n));
   }
   prof::set_enabled(false);
+}
+
+// ------------------------------------------------------- fused epilogue
+
+TEST(QgemmKernel, FusedEpilogueMatchesLayerByLayerOnEveryKernel) {
+  struct Kernel {
+    const char* name;
+    PanelMode mode;
+    int bits;
+    PackedGemm::KernelKind kind;
+  };
+  // 8-bit codes take the segment kernel's in-register sub-byte path, 12-bit
+  // codes its generic int32-accumulate path.
+  const Kernel kernels[] = {
+      {"segment(i8)", PanelMode::kForceSegment, 8,
+       PackedGemm::KernelKind::kSegment},
+      {"segment(generic)", PanelMode::kForceSegment, 12,
+       PackedGemm::KernelKind::kSegment},
+      {"int8 panel", PanelMode::kForceInt8, 8,
+       PackedGemm::KernelKind::kInt8Panel},
+      {"int4 panel", PanelMode::kForceInt4, 4,
+       PackedGemm::KernelKind::kInt4Panel},
+      {"pattern panel", PanelMode::kForcePattern, 8,
+       PackedGemm::KernelKind::kPatternPanel},
+  };
+  // Odd columns (9 x 13 = 117 per item, batch 2) leave 16-wide, 8-wide and
+  // scalar tails; the 64-channel geometry has k = 576 > kQKC (multi-slab:
+  // the epilogue must wait for the last slab's flushes) and n = 289 > kQNC.
+  struct Geometry {
+    std::int64_t n, in_c, out_c, h, w;
+  };
+  const Geometry geoms[] = {{2, 5, 11, 9, 13}, {1, 64, 13, 17, 17}};
+  const std::vector<prune::KernelPattern> pats = prune::all_patterns(3, 3);
+  for (const Kernel& kern : kernels)
+    for (const Geometry& g : geoms)
+      for (const bool bias : {false, true}) {
+        Rng rng(900 + kern.bits + g.in_c + bias);
+        nn::Conv2d conv(g.in_c, g.out_c, 3, 1, 1, bias, rng, "fused.qconv");
+        if (kern.mode == PanelMode::kForcePattern) {
+          const Tensor mask = prune::expand_kernel_mask(
+              pats[7], conv.weight().value.shape());
+          conv.weight().value.mul_(mask);
+          conv.weight().mark_mutated();
+        }
+        if (bias) testing::set_edge_bias(*conv.bias(), rng);
+        qnn::LowerSpec spec;
+        spec.weight_bits = kern.bits;
+        spec.group_size = 9;
+        spec.mode = kern.mode;
+        ASSERT_TRUE(qnn::lower_layer(conv, spec));
+        const auto* engine =
+            dynamic_cast<const qnn::PackedConv2d*>(conv.engine());
+        ASSERT_NE(engine, nullptr);
+        ASSERT_EQ(engine->gemm().kernel_kind(), kern.kind) << kern.name;
+        const Tensor x =
+            testing::finite_edge_tensor({g.n, g.in_c, g.h, g.w}, rng);
+        const std::string what = std::string(kern.name) + " in_c=" +
+                                 std::to_string(g.in_c) +
+                                 " bias=" + std::to_string(bias);
+        for (const auto& c : testing::fuse_cases(/*with_bn=*/true))
+          testing::check_fused_matches_layers(conv, x, c, rng, what);
+      }
+}
+
+TEST(QgemmKernel, FusedEpilogueMatchesLayerByLayerOnPackedLinear) {
+  // The PFN path: run_t applies the epilogue per batch row with the channel
+  // on the column axis (19 channels: two 8-lane groups plus a tail). 600
+  // rows cross the parallel grain.
+  for (const bool bias : {false, true}) {
+    Rng rng(950 + bias);
+    nn::Linear lin(9, 19, bias, rng, "fused.qlinear");
+    if (bias) testing::set_edge_bias(*lin.bias(), rng);
+    qnn::LowerSpec spec;
+    spec.weight_bits = 8;
+    ASSERT_TRUE(qnn::lower_layer(lin, spec));
+    const Tensor x = testing::finite_edge_tensor({600, 9}, rng);
+    for (const auto& c : testing::fuse_cases(/*with_bn=*/false))
+      testing::check_fused_matches_layers(
+          lin, x, c, rng, "packed linear bias=" + std::to_string(bias));
+  }
 }
 
 }  // namespace

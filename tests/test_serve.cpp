@@ -25,6 +25,7 @@
 #include "serve/stream.h"
 #include "tensor/rng.h"
 #include "tensor/workspace.h"
+#include "test_util.h"
 
 namespace upaq {
 namespace {
@@ -60,29 +61,23 @@ std::unique_ptr<detectors::PointPillars> make_model() {
   return model;
 }
 
-void expect_same_boxes(const std::vector<eval::Box3D>& a,
-                       const std::vector<eval::Box3D>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].x),
-              std::bit_cast<std::uint32_t>(b[i].x));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].y),
-              std::bit_cast<std::uint32_t>(b[i].y));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].z),
-              std::bit_cast<std::uint32_t>(b[i].z));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].length),
-              std::bit_cast<std::uint32_t>(b[i].length));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].width),
-              std::bit_cast<std::uint32_t>(b[i].width));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].height),
-              std::bit_cast<std::uint32_t>(b[i].height));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].yaw),
-              std::bit_cast<std::uint32_t>(b[i].yaw));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].score),
-              std::bit_cast<std::uint32_t>(b[i].score));
-    EXPECT_EQ(a[i].label, b[i].label);
-  }
+/// Packed PointPillars: every conv and the PFN linear lowered (the convs
+/// cycling segment / int8 panel / int4 panel). The packed PFN quantizes its
+/// input with one scale per call, so this is the model on which a batched
+/// scene could see its batch-mates. A small grid decoding every cell keeps
+/// the comparison dense and fast.
+std::unique_ptr<detectors::PointPillars> make_lowered_model() {
+  auto cfg = detectors::PointPillarsConfig::scaled();
+  cfg.grid = 32;
+  cfg.score_threshold = 0.0f;
+  Rng rng(4243);
+  auto model = std::make_unique<detectors::PointPillars>(cfg, rng);
+  model->set_training(false);
+  EXPECT_GT(testing::lower_all_cycling_kernels(*model), 0);
+  return model;
 }
+
+using testing::expect_same_boxes;
 
 /// Drains `scenes` through a server and returns the results sorted by id
 /// (submit order).
@@ -102,33 +97,38 @@ std::vector<serve::Result> drain_all(detectors::PointPillars& model,
 }
 
 /// The tentpole property: served == serial, bitwise, for every combination
-/// of thread count x batch size x pipeline mode.
+/// of thread count x batch size x pipeline mode — on the fp32 model and on
+/// the packed (lowered) one.
 TEST_F(ServeTest, DetectionsMatchSerialLoopAtEveryThreadAndBatchSize) {
-  auto model = make_model();
   const auto scenes = test_scenes(5);
+  for (const bool lowered : {false, true}) {
+    auto model = lowered ? make_lowered_model() : make_model();
+    parallel::set_thread_count(1);
+    std::vector<std::vector<eval::Box3D>> serial;
+    for (const auto& s : scenes) serial.push_back(model->detect(s));
+    if (lowered) EXPECT_FALSE(serial[0].empty());
 
-  std::vector<std::vector<eval::Box3D>> serial;
-  for (const auto& s : scenes) serial.push_back(model->detect(s));
-
-  for (const int threads : {1, 4}) {
-    parallel::set_thread_count(threads);
-    for (const int batch : {1, 2, 4}) {
-      for (const bool pipeline : {false, true}) {
-        serve::ServeConfig cfg;
-        cfg.max_batch = batch;
-        cfg.queue_capacity = static_cast<int>(scenes.size()) + 1;
-        cfg.pipeline = pipeline;
-        const auto results = drain_all(*model, scenes, cfg);
-        ASSERT_EQ(results.size(), scenes.size())
-            << "threads=" << threads << " batch=" << batch
-            << " pipeline=" << pipeline;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          SCOPED_TRACE("threads=" + std::to_string(threads) +
-                       " batch=" + std::to_string(batch) +
-                       " pipeline=" + std::to_string(pipeline) +
-                       " scene=" + std::to_string(i));
-          EXPECT_FALSE(results[i].shed);
-          expect_same_boxes(results[i].detections, serial[i]);
+    for (const int threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      for (const int batch : {1, 2, 4}) {
+        for (const bool pipeline : {false, true}) {
+          serve::ServeConfig cfg;
+          cfg.max_batch = batch;
+          cfg.queue_capacity = static_cast<int>(scenes.size()) + 1;
+          cfg.pipeline = pipeline;
+          const auto results = drain_all(*model, scenes, cfg);
+          ASSERT_EQ(results.size(), scenes.size())
+              << "lowered=" << lowered << " threads=" << threads
+              << " batch=" << batch << " pipeline=" << pipeline;
+          for (std::size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE("lowered=" + std::to_string(lowered) +
+                         " threads=" + std::to_string(threads) +
+                         " batch=" + std::to_string(batch) +
+                         " pipeline=" + std::to_string(pipeline) +
+                         " scene=" + std::to_string(i));
+            EXPECT_FALSE(results[i].shed);
+            expect_same_boxes(results[i].detections, serial[i]);
+          }
         }
       }
     }
