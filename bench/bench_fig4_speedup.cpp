@@ -326,30 +326,25 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
   return t;
 }
 
-/// One pattern-pruned backbone conv, measured segment-vs-pattern.
+/// One pattern-pruned backbone conv, measured segment-vs-dense-panel.
 struct PatternRow {
   std::string layer;
   int bits = 4;
-  std::int64_t taps = 0;    ///< surviving kernel slots (tap-list length)
-  std::int64_t period = 0;  ///< kernel slots per input channel (d*d)
+  double panel_ms = 0.0;    ///< best-of-reps forward, forced int8 panel
   double segment_ms = 0.0;  ///< best-of-reps forward, forced segment kernel
-  double pattern_ms = 0.0;  ///< best-of-reps forward, forced pattern panel
-  double speedup = 0.0;     ///< segment_ms / pattern_ms
-  bool tuner_pinned = false;  ///< auto-tuner raced all kernels, pattern won
+  double speedup = 0.0;     ///< panel_ms / segment_ms
+  bool tuner_pinned = false;  ///< auto-tuner raced all kernels, segment won
 };
 
-/// Segment-vs-pattern-panel speedup on pattern-pruned backbone convs.
+/// What the pattern sparsity buys: the segment kernel, which never touches
+/// a pruned tap, against the dense int8 panel, which multiplies every kernel
+/// slot (zeros included), on pattern-pruned backbone convs.
 ///
-/// The HCK plans the zoo produces pick the *mixed* pattern family (each
-/// kernel keeps its own best pattern), whose per-layer union covers every
-/// kernel slot — nothing to compact. The pattern panel targets the
-/// single-root-pattern configuration (Algorithm 3's replication: the group
-/// root picks one kernel pattern and every member adopts it), so this
-/// measurement stamps each conv with its best-fit single pattern (kept-L2
-/// argmax over the enumerated candidates, the same rule assign_masks uses
-/// per kernel) before lowering the same weight both ways. Both engines run
-/// the full im2col+GEMM forward; reps are interleaved so host-load spikes
-/// land on both kernels or neither.
+/// Each conv keeps 2 of 9 slots per kernel, every kernel with its own
+/// best-fit pattern (kept-L2 argmax over the enumerated candidates, the rule
+/// assign_masks uses per kernel) — the mixed-pattern configuration the HCK
+/// plans deploy. Both engines run the full im2col+GEMM forward; reps are
+/// interleaved so host-load spikes land on both kernels or neither.
 std::vector<PatternRow> measure_pattern_speedups(int reps) {
   using namespace upaq;
   // Second conv of each scaled-config backbone block (stride-1, square 3x3)
@@ -374,76 +369,75 @@ std::vector<PatternRow> measure_pattern_speedups(int reps) {
   for (const Case& c : cases) {
     nn::Conv2d conv(c.channels, c.channels, /*kernel=*/3, /*stride=*/1,
                     /*pad=*/1, /*bias=*/true, rng, c.name);
-    // Root pattern choice: keep the candidate retaining the most L2 mass
-    // over the whole layer, then replicate it to every kernel.
     const float* w = conv.weight().value.data();
     const std::int64_t kernels = c.channels * c.channels;
-    double best_l2 = -1.0;
-    const prune::KernelPattern* best = nullptr;
-    for (const auto& cand : candidates) {
-      double l2 = 0.0;
-      for (std::int64_t t = 0; t < kernels; ++t)
+    Tensor mask(conv.weight().value.shape());
+    for (std::int64_t t = 0; t < kernels; ++t) {
+      double best_l2 = -1.0;
+      const prune::KernelPattern* best = nullptr;
+      for (const auto& cand : candidates) {
+        double l2 = 0.0;
         for (const auto& [r, col] : cand.positions) {
           const float v = w[t * 9 + r * 3 + col];
           l2 += static_cast<double>(v) * v;
         }
-      if (l2 > best_l2) {
-        best_l2 = l2;
-        best = &cand;
+        if (l2 > best_l2) {
+          best_l2 = l2;
+          best = &cand;
+        }
       }
+      for (const auto& [r, col] : best->positions)
+        mask[t * 9 + r * 3 + col] = 1.0f;
     }
-    conv.weight().mask =
-        prune::expand_kernel_mask(*best, conv.weight().value.shape());
+    conv.weight().mask = mask;
     conv.weight().project();
 
     qnn::LowerSpec spec;
     spec.weight_bits = c.bits;
     spec.group_size = 9;  // per-kernel scales, like the HCK plan
     spec.act_bits = 8;
+    spec.mode = qnn::PackedGemm::PanelMode::kForceInt8;
+    qnn::PackedConv2d panel(conv, spec);
     spec.mode = qnn::PackedGemm::PanelMode::kForceSegment;
     qnn::PackedConv2d seg(conv, spec);
-    spec.mode = qnn::PackedGemm::PanelMode::kForcePattern;
-    qnn::PackedConv2d pat(conv, spec);
 
     PatternRow row;
     row.layer = c.name;
     row.bits = c.bits;
-    row.period = pat.gemm().pattern_period();
-    row.taps = static_cast<std::int64_t>(pat.gemm().pattern_taps()->size());
     const Tensor x =
         Tensor::normal({4, c.channels, c.hw, c.hw}, rng, 0.0f, 1.0f);
     // Warm both engines (lazy workspace arenas, output allocation), then
     // best-of-reps with the two kernels interleaved inside each rep.
+    (void)panel.forward(x);
     (void)seg.forward(x);
-    (void)pat.forward(x);
-    double seg_best = 0.0, pat_best = 0.0;
+    double panel_best = 0.0, seg_best = 0.0;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
-      (void)seg.forward(x);
+      (void)panel.forward(x);
       const auto t1 = std::chrono::steady_clock::now();
-      (void)pat.forward(x);
+      (void)seg.forward(x);
       const auto t2 = std::chrono::steady_clock::now();
-      const double s =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
       const double p =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      const double s =
           std::chrono::duration<double, std::milli>(t2 - t1).count();
+      if (panel_best == 0.0 || p < panel_best) panel_best = p;
       if (seg_best == 0.0 || s < seg_best) seg_best = s;
-      if (pat_best == 0.0 || p < pat_best) pat_best = p;
     }
+    row.panel_ms = panel_best;
     row.segment_ms = seg_best;
-    row.pattern_ms = pat_best;
-    row.speedup = pat_best > 0.0 ? seg_best / pat_best : 0.0;
+    row.speedup = seg_best > 0.0 ? panel_best / seg_best : 0.0;
 
     // Auto-tuner race on the same pruned weight: float, segment, int8/int4
-    // panels, pattern panel — pattern must win on its own cold-cache
-    // timing, not by fiat.
+    // panels — the segment kernel must win on its own cold-cache timing,
+    // not by fiat.
     spec.mode = qnn::PackedGemm::PanelMode::kAuto;
     qnn::TuneOptions topt;
     topt.reps = 3;
     const auto d = qnn::tune_gemm(
         conv.weight(), c.channels, c.channels * 9, c.hw * c.hw, spec, c.name,
         topt, /*im2col_expand=*/9, nullptr);
-    row.tuner_pinned = d.winner == qnn::TunedKernel::kPatternPanel;
+    row.tuner_pinned = d.winner == qnn::TunedKernel::kSegment;
     rows.push_back(row);
   }
   return rows;
@@ -487,25 +481,23 @@ int main() {
   const auto pattern_rows = measure_pattern_speedups(/*reps=*/7);
   double pattern_log_sum = 0.0;
   int pattern_pinned = 0;
-  std::printf("Pattern panel vs segment kernel on single-root-pattern "
-              "pruned backbone convs (taps/period = surviving kernel "
-              "slots):\n");
-  std::printf("  %-22s %5s %10s %12s %12s %9s %7s\n", "layer", "bits",
-              "taps", "segment ms", "pattern ms", "speedup", "pinned");
+  std::printf("Segment kernel vs dense int8 panel on pattern-pruned "
+              "backbone convs (2 of 9 taps per kernel, mixed patterns):\n");
+  std::printf("  %-22s %5s %12s %12s %9s %7s\n", "layer", "bits",
+              "int8 ms", "segment ms", "speedup", "pinned");
   for (const auto& r : pattern_rows) {
     if (r.speedup > 0.0) pattern_log_sum += std::log(r.speedup);
     pattern_pinned += r.tuner_pinned ? 1 : 0;
-    std::printf("  %-22s %5d %7lld/%-2lld %12.4f %12.4f %8.2fx %7s\n",
-                r.layer.c_str(), r.bits, static_cast<long long>(r.taps),
-                static_cast<long long>(r.period), r.segment_ms, r.pattern_ms,
-                r.speedup, r.tuner_pinned ? "yes" : "no");
+    std::printf("  %-22s %5d %12.4f %12.4f %8.2fx %7s\n", r.layer.c_str(),
+                r.bits, r.panel_ms, r.segment_ms, r.speedup,
+                r.tuner_pinned ? "yes" : "no");
   }
   const double pattern_geomean =
       pattern_rows.empty()
           ? 0.0
           : std::exp(pattern_log_sum /
                      static_cast<double>(pattern_rows.size()));
-  std::printf("  geomean %.2fx, auto-tuner pinned pattern_panel on %d/%zu "
+  std::printf("  geomean %.2fx, auto-tuner pinned segment on %d/%zu "
               "layers\n\n",
               pattern_geomean, pattern_pinned, pattern_rows.size());
 
@@ -559,21 +551,19 @@ int main() {
     std::fprintf(json, "  \"int_speedup_min\": %.4f,\n", min_speedup);
     std::fprintf(json, "  \"int4_geomean_speedup\": %.4f,\n",
                  int4_rows > 0 ? std::exp(int4_log_sum / int4_rows) : 0.0);
-    std::fprintf(json, "  \"pattern_geomean_speedup\": %.4f,\n",
+    std::fprintf(json, "  \"pattern_sparse_geomean_speedup\": %.4f,\n",
                  pattern_geomean);
-    std::fprintf(json, "  \"pattern_pinned_layers\": %d,\n", pattern_pinned);
+    std::fprintf(json, "  \"pattern_segment_pinned_layers\": %d,\n",
+                 pattern_pinned);
     std::fprintf(json, "  \"pattern_layers\": [\n");
     for (std::size_t i = 0; i < pattern_rows.size(); ++i) {
       const auto& r = pattern_rows[i];
       std::fprintf(json,
-                   "    {\"layer\": \"%s\", \"bits\": %d, \"taps\": %lld, "
-                   "\"period\": %lld, \"segment_ms\": %.4f, "
-                   "\"pattern_ms\": %.4f, \"pattern_speedup\": %.4f, "
-                   "\"tuner_pinned\": %s}%s\n",
-                   r.layer.c_str(), r.bits, static_cast<long long>(r.taps),
-                   static_cast<long long>(r.period), r.segment_ms,
-                   r.pattern_ms, r.speedup,
-                   r.tuner_pinned ? "true" : "false",
+                   "    {\"layer\": \"%s\", \"bits\": %d, "
+                   "\"int8_panel_ms\": %.4f, \"segment_ms\": %.4f, "
+                   "\"segment_speedup\": %.4f, \"tuner_pinned\": %s}%s\n",
+                   r.layer.c_str(), r.bits, r.panel_ms, r.segment_ms,
+                   r.speedup, r.tuner_pinned ? "true" : "false",
                    i + 1 < pattern_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");

@@ -234,20 +234,6 @@ int run_profile(int argc, char** argv) {
       std::printf("integer gemm throughput: %.2f GOP/s achieved over the "
                   "same window\n",
                   igops);
-    // Pattern-panel compaction over the same window: masked im2col
-    // positions (dropped k rows x output columns) that were never gathered
-    // or multiplied. Read beside qgemm_macs: the integer MACs above ran on
-    // the compacted matrices these positions were elided from.
-    const std::uint64_t taps_skipped =
-        prof::counter_value(prof::Counter::kPatternTapsSkipped);
-    const std::uint64_t qmacs =
-        prof::counter_value(prof::Counter::kQgemmMacs);
-    if (taps_skipped > 0 && qmacs > 0)
-      std::printf("pattern compaction: %llu im2col positions elided before "
-                  "the GEMM (%.2fx the surviving integer-MAC count)\n",
-                  static_cast<unsigned long long>(taps_skipped),
-                  static_cast<double>(taps_skipped) /
-                      static_cast<double>(qmacs));
     std::printf("workspace: high-water %.1f KiB, %llu block allocs, "
                 "%llu arena reuses\n",
                 ws.high_water_bytes / 1024.0,
@@ -274,12 +260,9 @@ int run_profile(int argc, char** argv) {
         "{\"model\": \"%s\", \"scenes\": %d, \"runs\": %d, "
         "\"threads\": %d, \"packed\": %s, \"wall_ms\": %.4f, "
         "\"gemm_gflops\": %.4f, \"int_gemm_gops\": %.4f, "
-        "\"pattern_taps_skipped\": %llu, "
         "\"workspace_high_water_bytes\": %llu,\n \"obs\": %s}\n",
         target->model_name(), scenes, runs, threads,
         packed ? "true" : "false", wall_ms, gflops, igops,
-        static_cast<unsigned long long>(
-            prof::counter_value(prof::Counter::kPatternTapsSkipped)),
         static_cast<unsigned long long>(ws.high_water_bytes),
         obs::snapshot_json(obs::snapshot()).c_str());
   }
@@ -665,8 +648,8 @@ int run_tune(int argc, char** argv) {
                 model->model_name(), reps, lowered, tune_ms);
     for (std::size_t i = 0; i < report.layers.size(); ++i) {
       const auto& l = report.layers[i];
-      // The plan explains WHY a pattern panel won or lost on this layer:
-      // the pruning pattern's key and the fraction it zeroed.
+      // The plan explains the sparsity each kernel raced on: the pruning
+      // pattern's key and the fraction it zeroed.
       const core::LayerState* st = core::find_state(result.plan, l.name);
       std::printf("  {\"layer\": \"%s\", \"kernel\": \"%s\", "
                   "\"lowered\": %s, \"pattern\": \"%s\", "
@@ -687,11 +670,11 @@ int run_tune(int argc, char** argv) {
                 "layers lowered in %.1f ms\n\n",
                 model->model_name(), cfg.nonzeros == 2 ? "HCK" : "LCK", reps,
                 lowered, report.layers.size(), tune_ms);
-    std::printf("%-20s %-13s %12s %12s %12s %12s %12s  %s\n", "layer",
-                "pinned", "float us", "segment us", "int8 us", "int4 us",
-                "pattern us", "pattern (pruned)");
+    std::printf("%-20s %-13s %12s %12s %12s %12s  %s\n", "layer", "pinned",
+                "float us", "segment us", "int8 us", "int4 us",
+                "pattern (pruned)");
     for (const auto& l : report.layers) {
-      double us[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
+      double us[4] = {0.0, 0.0, 0.0, 0.0};
       for (const auto& c : l.timings)
         us[static_cast<int>(c.kernel)] = static_cast<double>(c.ns) * 1e-3;
       auto cell = [&](int k, char* buf, std::size_t n) {
@@ -702,16 +685,16 @@ int run_tune(int argc, char** argv) {
         return buf;
       };
       const core::LayerState* st = core::find_state(result.plan, l.name);
-      char b0[16], b1[16], b2[16], b3[16], b4[16], pat[64];
+      char b0[16], b1[16], b2[16], b3[16], pat[64];
       if (st != nullptr && !st->pattern.empty())
         std::snprintf(pat, sizeof(pat), "%s (%.2f)", st->pattern.c_str(),
                       st->sparsity);
       else
         std::snprintf(pat, sizeof(pat), "-");
-      std::printf("%-20s %-13s %s %s %s %s %s  %s\n", l.name.c_str(),
+      std::printf("%-20s %-13s %s %s %s %s  %s\n", l.name.c_str(),
                   qnn::tuned_kernel_name(l.kernel), cell(0, b0, sizeof(b0)),
                   cell(1, b1, sizeof(b1)), cell(2, b2, sizeof(b2)),
-                  cell(3, b3, sizeof(b3)), cell(4, b4, sizeof(b4)), pat);
+                  cell(3, b3, sizeof(b3)), pat);
     }
     std::printf("\n(a \"float\" pin keeps that layer on the fp32 fake-quant "
                 "path; timings are GEMM-only at the layer's calibrated "

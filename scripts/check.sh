@@ -111,26 +111,30 @@ if ! awk -v s="$INT4_GEO" -v f="$INT4_GEOMEAN_FLOOR" 'BEGIN { exit !(s >= f) }';
 fi
 echo "int4_geomean_speedup=${INT4_GEO} (>= ${INT4_GEOMEAN_FLOOR})"
 
-# Pattern-panel floor: geometric mean of the segment-vs-pattern speedups on
-# the single-root-pattern pruned backbone convs (bench_fig4's pattern
-# section), plus the requirement that the auto-tuner — racing float,
-# segment, int8/int4 panel, and pattern panel cold-cache on the same pruned
-# weights — pins the pattern kernel on at least one of them. Quiet-box runs
-# measure ~1.25-1.45x geomean; the floor keeps margin for this shared box's
-# run-to-run swing. A failing attempt reruns the bench (same transient-noise
-# policy as the ratchet above); a genuine pattern-kernel regression fails
-# every attempt.
-PATTERN_GEOMEAN_FLOOR="${UPAQ_PATTERN_GEOMEAN_FLOOR:-1.15}"
-echo "==> pattern-panel speedup gate (geomean floor ${PATTERN_GEOMEAN_FLOOR}x, >= 1 tuner-pinned layer)"
+# Pattern-sparsity floor: geometric mean of the speedups of the segment
+# kernel (which never touches a pruned tap) over the dense int8 panel (which
+# multiplies every kernel slot) on bench_fig4's pattern-pruned backbone
+# convs, 2 of 9 taps per kernel, plus the requirement that the auto-tuner —
+# racing float, segment and int8/int4 panel cold-cache on the same pruned
+# weights — pins the segment kernel on at least one of them. On an
+# AVX-512 VNNI host the pair-table fast path measures 5.8-6.5x and the
+# generic segment path 3.6-4.0x, so the 4.5x floor fails a build that lost
+# the fast path as well as a tuner that stopped seeing the sparsity. Hosts
+# without AVX-512BW/VNNI run only the generic path (a -march=haswell kernel
+# build read 3.8-4.0x) and need UPAQ_PATTERN_GEOMEAN_FLOOR=3. A failing
+# attempt reruns the bench (same transient-noise policy as the ratchet
+# above); a genuine regression fails every attempt.
+PATTERN_GEOMEAN_FLOOR="${UPAQ_PATTERN_GEOMEAN_FLOOR:-4.5}"
+echo "==> pattern-sparsity speedup gate (segment vs int8 panel, geomean floor ${PATTERN_GEOMEAN_FLOOR}x, >= 1 tuner-pinned layer)"
 PATTERN_OK=""
 for attempt in $(seq 1 "$RATCHET_ATTEMPTS"); do
   if [ "$attempt" -gt 1 ]; then
     UPAQ_THREADS=1 "$BUILD_DIR"/bench/bench_fig4_speedup > /dev/null
   fi
-  PATTERN_GEO="$(sed -n 's/.*"pattern_geomean_speedup": \([0-9.]*\).*/\1/p' bench_fig4.json)"
-  PATTERN_PINNED="$(sed -n 's/.*"pattern_pinned_layers": \([0-9]*\).*/\1/p' bench_fig4.json)"
+  PATTERN_GEO="$(sed -n 's/.*"pattern_sparse_geomean_speedup": \([0-9.]*\).*/\1/p' bench_fig4.json)"
+  PATTERN_PINNED="$(sed -n 's/.*"pattern_segment_pinned_layers": \([0-9]*\).*/\1/p' bench_fig4.json)"
   if [ -z "$PATTERN_GEO" ] || [ -z "$PATTERN_PINNED" ]; then
-    echo "pattern gate FAILED: pattern_geomean_speedup / pattern_pinned_layers missing from bench_fig4.json"
+    echo "pattern gate FAILED: pattern_sparse_geomean_speedup / pattern_segment_pinned_layers missing from bench_fig4.json"
     exit 1
   fi
   if awk -v s="$PATTERN_GEO" -v f="$PATTERN_GEOMEAN_FLOOR" -v p="$PATTERN_PINNED" \
@@ -141,10 +145,10 @@ for attempt in $(seq 1 "$RATCHET_ATTEMPTS"); do
   echo "pattern gate attempt ${attempt}/${RATCHET_ATTEMPTS}: geomean=${PATTERN_GEO}, pinned=${PATTERN_PINNED}"
 done
 if [ -z "$PATTERN_OK" ]; then
-  echo "pattern gate FAILED: pattern_geomean_speedup=${PATTERN_GEO} (floor ${PATTERN_GEOMEAN_FLOOR}) pinned=${PATTERN_PINNED} (need >= 1) after ${RATCHET_ATTEMPTS} attempts"
+  echo "pattern gate FAILED: pattern_sparse_geomean_speedup=${PATTERN_GEO} (floor ${PATTERN_GEOMEAN_FLOOR}) pinned=${PATTERN_PINNED} (need >= 1) after ${RATCHET_ATTEMPTS} attempts"
   exit 1
 fi
-echo "pattern_geomean_speedup=${PATTERN_GEO} (>= ${PATTERN_GEOMEAN_FLOOR}), pattern_pinned_layers=${PATTERN_PINNED} (>= 1)"
+echo "pattern_sparse_geomean_speedup=${PATTERN_GEO} (>= ${PATTERN_GEOMEAN_FLOOR}), pattern_segment_pinned_layers=${PATTERN_PINNED} (>= 1)"
 
 # Serve smoke: bench_serve --smoke runs the hard equivalence gate first —
 # the streaming server draining a fixed scene stream must produce
@@ -202,9 +206,8 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # test_autotune joins with the int4 additions in test_qgemm_kernel: the
 # nibble packer and the tuner's cache-eviction / scripted-timer paths are
 # exactly the raw-buffer code the sanitizers are here for.
-# test_prune rides with the pattern-panel work: its pattern/mask contracts
-# feed the tap-list derivation and the compacted im2col gather, and the
-# pattern suites in test_qgemm_kernel walk those buffers with raw pointers.
+# test_prune rides along: its pattern/mask contracts produce the sparse
+# entry lists the segment kernel and its pair tables walk with raw pointers.
 # test_nn and test_detectors join with the fused inference epilogue: its
 # residual offsets, per-channel term pointers and upsample-into-concat
 # placement are raw-buffer arithmetic inside every kernel's output store.

@@ -29,11 +29,7 @@ namespace upaq::qnn {
 
 /// The tuner's kernel vocabulary. kFloat means "do not lower this layer" —
 /// the fake-quant fp32 path (blocked GEMM over pre-packed panels) wins.
-/// kPatternPanel is only raced on layers where pattern_eligible(weight,
-/// bits) holds: conv geometry whose tap union misses kernel slots, so the
-/// tap-compacted panel actually shrinks k.
-enum class TunedKernel : int { kFloat = 0, kSegment, kInt8Panel, kInt4Panel,
-                               kPatternPanel };
+enum class TunedKernel : int { kFloat = 0, kSegment, kInt8Panel, kInt4Panel };
 
 const char* tuned_kernel_name(TunedKernel k);
 
@@ -102,9 +98,7 @@ struct TuneOptions {
 /// Times every candidate kernel for one lowered GEMM of geometry
 /// (rows, k) x (k, n) under `spec` and returns the ranked decision. Fixed
 /// candidate order: float, segment, int8 panel, int4 panel (the last only
-/// when spec.weight_bits <= 4), pattern panel (only when
-/// pattern_eligible(w.value, spec.weight_bits)); ties keep the earlier
-/// candidate. Integer
+/// when spec.weight_bits <= 4); ties keep the earlier candidate. Integer
 /// candidates are built through the PanelCache with forced modes, so the
 /// winner's packed image stays cached for the subsequent lowering. Emits
 /// one obs "autotune.pin" event.

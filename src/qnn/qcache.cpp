@@ -7,9 +7,8 @@
 namespace upaq::qnn {
 
 bool PanelCache::Key::operator<(const Key& o) const {
-  return std::tie(param, rows, k, bits, group, format, mode, taps) <
-         std::tie(o.param, o.rows, o.k, o.bits, o.group, o.format, o.mode,
-                  o.taps);
+  return std::tie(param, rows, k, bits, group, format, mode) <
+         std::tie(o.param, o.rows, o.k, o.bits, o.group, o.format, o.mode);
 }
 
 PanelCache& PanelCache::instance() {
@@ -27,8 +26,7 @@ std::shared_ptr<const PackedGemm> PanelCache::get_or_build(
                 weight_bits,
                 group_size,
                 static_cast<int>(format),
-                static_cast<int>(mode),
-                tap_signature(w.value)};
+                static_cast<int>(mode)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);

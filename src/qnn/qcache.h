@@ -59,9 +59,6 @@ class PanelCache {
     std::int64_t group;
     int format;
     int mode;
-    std::uint64_t taps;  ///< tap_signature(w.value): pattern-mask identity,
-                         ///< so a re-pruned parameter whose version tracking
-                         ///< missed the mask change still misses the cache
     bool operator<(const Key& o) const;
   };
   struct Entry {

@@ -101,25 +101,6 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi) {
         // 1x1 conv: the column matrix IS the quantized map; no gather.
         prof::Span gspan("qnn.qgemm");
         gemm_->run(qcodes, sx, oh * ow, bias, ys, ep);
-      } else if (gemm_->pattern_active()) {
-        // Pattern panel: gather ONLY the surviving kernel taps — the column
-        // matrix (and the GEMM's k) shrink by the pruned fraction, and the
-        // masked positions are never materialized at all. Same byte moves
-        // per surviving row as the full gather, so the codes (and the
-        // output, bitwise) match the full-k path.
-        const auto& taps = *gemm_->pattern_taps();
-        const std::int64_t kc = gemm_->k_compact();
-        std::int8_t* cols = ws.i8(kc * oh * ow);
-        {
-          prof::Span ispan("qnn.im2col");
-          prof::add(prof::Counter::kIm2colBytes,
-                    static_cast<std::uint64_t>(kc * oh * ow));
-          gemm::s8_im2col_taps(qcodes, in_c_, h, w, kernel_, stride_, pad_,
-                               oh, ow, taps.data(),
-                               static_cast<std::int64_t>(taps.size()), cols);
-        }
-        prof::Span gspan("qnn.qgemm");
-        gemm_->run_compact(cols, sx, oh * ow, bias, ys, ep);
       } else {
         std::int8_t* cols =
             ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);

@@ -498,121 +498,225 @@ void s8_requant_add(const std::int32_t* acc, std::int64_t nb, float m,
   }
 }
 
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
+QPairTable s8_pack_pairs(const std::int32_t* cols, const std::int32_t* codes,
+                         const QSegment* segs, std::int64_t nseg) {
+  QPairTable t;
+  std::size_t npairs = 0;
+  for (std::int64_t si = 0; si < nseg; ++si)
+    npairs += static_cast<std::size_t>(segs[si].end - segs[si].begin + 1) / 2;
+  t.pairs.reserve(npairs);
+  t.seg_pairs.reserve(static_cast<std::size_t>(nseg) + 1);
+  t.corr.reserve(static_cast<std::size_t>(nseg));
+  for (std::int64_t si = 0; si < nseg; ++si) {
+    const QSegment& seg = segs[si];
+    t.seg_pairs.push_back(static_cast<std::int32_t>(t.pairs.size()));
+    std::int64_t wsum = 0;
+    for (std::int64_t e = seg.begin; e < seg.end; e += 2) {
+      const bool has2 = e + 1 < seg.end;
+      const std::int32_t w0 = codes[e];
+      const std::int32_t w1 = has2 ? codes[e + 1] : 0;
+      wsum += w0 + w1;
+      QPair p;
+      p.col0 = cols[e];
+      p.col1 = has2 ? cols[e + 1] : cols[e];  // code 0: any in-range row
+      p.word = static_cast<std::int32_t>(
+          (static_cast<std::uint32_t>(w0) & 0xFFu) |
+          ((static_cast<std::uint32_t>(w1) & 0xFFu) << 8));
+      t.pairs.push_back(p);
+    }
+    // -128 * sum(w) can leave int32 on long segments; the kernel's int32
+    // sums wrap mod 2^32, so the correction is stored reduced the same way.
+    t.corr.push_back(static_cast<std::int32_t>(static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(-128 * wsum))));
+  }
+  t.seg_pairs.push_back(static_cast<std::int32_t>(t.pairs.size()));
+  return t;
+}
+
+#if defined(UPAQ_S8_VEC) && defined(__AVX512BW__) && defined(__AVX512VNNI__)
+#define UPAQ_S8_AVX512 1
 namespace {
 
-/// One (row, 16-column) output block of the sub-byte segment GEMM: the two
-/// 8-lane float accumulators hold the output across ALL of the row's
-/// segments (bias fill in registers, one store at the end), and each entry
-/// pair multiplies via vpmaddubsw as |w| x sign-transferred activations:
-///   sign_epi8 moves the weight signs onto the activation bytes (activation
-///   codes never reach -128 — s8_quantize clamps to +/-(2^(b-1)-1) <= 127 —
-///   so the sign transfer is exact), then maddubs(|w| bytes, +/-x bytes)
-///   yields int16 pair sums w0*x0 + w1*x1 with |sum| <= 2*127^2 < 2^15.
-/// Pair sums widen to int32 per segment, so every integer quantity is exact,
-/// and the per-element float sequence (bias, then one mul+add per segment in
-/// ascending order, contraction pinned) is identical to the generic path —
-/// the fast path is bitwise equivalent, only faster.
-void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
-                    const QSegment* segs, std::int64_t s0, std::int64_t s1,
+// GCC 12 implements these 512-bit intrinsics with a pass-through operand
+// seeded from a self-initialized `__m512 __Y = __Y;` that is never read
+// (full write mask); -Wmaybe-uninitialized reports it at every inlined use.
+// The suppression covers only the three wrappers below, so the row block's
+// own accumulators and buffers stay checked.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// The odd-column weight word (0, 0, w0, w1) of an even word (w0, w1, 0, 0).
+inline __m512i odd_word(__m512i even) { return _mm512_slli_epi32(even, 16); }
+
+/// y + m * float(acc), the product pinned (no FMA contraction).
+inline __m512 requant_add16(__m512 y, __m512 m, __m512i acc) {
+  __m512 t = _mm512_mul_ps(m, _mm512_cvtepi32_ps(acc));
+  UPAQ_NO_CONTRACT(t);
+  return _mm512_add_ps(y, t);
+}
+
+/// Undoes s8_row_block64's column permutation. Interleaving the even/odd
+/// accumulators gives 4 consecutive columns per 128-bit lane (u0: 16L+0..3,
+/// u1: +4..7, u2: +8..11, u3: +12..15); a 4x4 transpose of 128-bit lanes
+/// then makes out[b] columns 16b..16b+15.
+inline void unpermute64(__m512 y0, __m512 y1, __m512 y2, __m512 y3,
+                        __m512 out[4]) {
+  const __m512 u0 = _mm512_unpacklo_ps(y0, y1);
+  const __m512 u1 = _mm512_unpackhi_ps(y0, y1);
+  const __m512 u2 = _mm512_unpacklo_ps(y2, y3);
+  const __m512 u3 = _mm512_unpackhi_ps(y2, y3);
+  const __m512 v0 = _mm512_shuffle_f32x4(u0, u1, 0x44);
+  const __m512 v1 = _mm512_shuffle_f32x4(u0, u1, 0xEE);
+  const __m512 v2 = _mm512_shuffle_f32x4(u2, u3, 0x44);
+  const __m512 v3 = _mm512_shuffle_f32x4(u2, u3, 0xEE);
+  out[0] = _mm512_shuffle_f32x4(v0, v2, 0x88);
+  out[1] = _mm512_shuffle_f32x4(v0, v2, 0xDD);
+  out[2] = _mm512_shuffle_f32x4(v1, v3, 0x88);
+  out[3] = _mm512_shuffle_f32x4(v1, v3, 0xDD);
+}
+
+#pragma GCC diagnostic pop
+
+/// 16-lane forms of EpiVec / epi8: the same per-element operations, so the
+/// same bits. `m` masks the residual load of a partial column block.
+struct EpiVec16 {
+  __m512 g, mu, is, be, slope;
+};
+
+inline EpiVec16 epi_vec16(const Epilogue& e, const EpiTerms& t) {
+  return {_mm512_set1_ps(t.g), _mm512_set1_ps(t.mu), _mm512_set1_ps(t.is),
+          _mm512_set1_ps(t.be), _mm512_set1_ps(e.slope)};
+}
+
+inline __m512 epi16(const Epilogue& e, const EpiVec16& c, __m512 v,
+                    const float* s, __mmask16 m) {
+  if (e.gamma != nullptr) {
+    __m512 p = _mm512_mul_ps(_mm512_mul_ps(c.g, _mm512_sub_ps(v, c.mu)), c.is);
+    UPAQ_NO_CONTRACT(p);
+    v = _mm512_add_ps(p, c.be);
+  }
+  if (e.skip != nullptr) v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(m, s));
+  if (e.relu) {
+    const __m512 a = _mm512_mul_ps(v, c.slope);
+    v = _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_LT_OQ), v, a);
+  }
+  return v;
+}
+
+/// One (row, 64-column) output block of the segment GEMM over the pair
+/// table; `nb` (< 64 only when kTail) columns are live. Four zmm float
+/// accumulators hold the block across ALL of the row's segments (bias fill
+/// in registers, one store at the end). Per pair, the two activation rows
+/// are flipped to unsigned bytes (x ^ 0x80 = x + 128) and byte-interleaved,
+/// so 32-bit lane d of 128-bit lane L of `lo` holds columns 16L+2d and
+/// 16L+2d+1 of both rows (`hi`: the same 8 columns on); vpdpbusd against the
+/// even word (w0, w1, 0, 0) sums the first column, against the odd word
+/// (0, 0, w0, w1) = even << 16 the second. A segment's int32 sums start at
+/// its -128 * sum(w) correction, so each lane ends at exactly sum(w * x): every
+/// term is exact, the int32 adds wrap mod 2^32, and the true sum fits int32
+/// (PackedGemm caps segment length). The per-element float sequence (bias,
+/// then one pinned mul+add per segment in ascending order) is the generic
+/// path's; the column permutation is undone once, before the epilogue.
+template <bool kTail>
+void s8_row_block64(const QSegment* segs, const QPairTable& pt,
+                    std::int64_t s0, std::int64_t s1,
                     const std::int8_t* qx, float sx, std::int64_t n,
-                    std::int64_t j0, float bias_v, float* yb,
-                    const Epilogue* epi, const EpiVec& ev, const float* skip) {
-  __m256 y0 = _mm256_set1_ps(bias_v);
-  __m256 y1 = y0;
+                    std::int64_t j0, std::int64_t nb, float bias_v, float* yb,
+                    const Epilogue* epi, const EpiVec16& ev,
+                    const float* skip) {
+  const std::uint64_t live = kTail ? (std::uint64_t{1} << nb) - 1 : ~0ull;
+  const __mmask64 lm = _cvtu64_mask64(live);
+  const __m512i flip = _mm512_set1_epi8(static_cast<char>(0x80));
+  const std::int8_t* qb = qx + j0;
+  __m512 y0 = _mm512_set1_ps(bias_v);
+  __m512 y1 = y0, y2 = y0, y3 = y0;
+  const QPair* pr = pt.pairs.data() + pt.seg_pairs[s0];
   for (std::int64_t si = s0; si < s1; ++si) {
-    const QSegment& seg = segs[si];
-    __m256i acc_lo = _mm256_setzero_si256();
-    __m256i acc_hi = _mm256_setzero_si256();
-    for (std::int64_t e = seg.begin; e < seg.end; e += 2) {
-      const std::int32_t w0 = codes[e];
-      const bool has2 = e + 1 < seg.end;
-      const std::int32_t w1 = has2 ? codes[e + 1] : 0;
-      const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          qx + static_cast<std::int64_t>(cols[e]) * n + j0));
-      const __m128i r1 =
-          has2 ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                     qx + static_cast<std::int64_t>(cols[e + 1]) * n + j0))
-               : _mm_setzero_si128();
-      const __m256i x_il =
-          _mm256_set_m128i(_mm_unpackhi_epi8(r0, r1), _mm_unpacklo_epi8(r0, r1));
-      const int s0b = w0 < 0 ? 0xFF : (w0 > 0 ? 1 : 0);
-      const int s1b = w1 < 0 ? 0xFF : (w1 > 0 ? 1 : 0);
-      const __m256i wsgn =
-          _mm256_set1_epi16(static_cast<short>((s1b << 8) | s0b));
-      const __m256i uabs = _mm256_set1_epi16(static_cast<short>(
-          ((w1 < 0 ? -w1 : w1) << 8) | (w0 < 0 ? -w0 : w0)));
-      const __m256i p =
-          _mm256_maddubs_epi16(uabs, _mm256_sign_epi8(x_il, wsgn));
-      acc_lo = _mm256_add_epi32(
-          acc_lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p)));
-      acc_hi = _mm256_add_epi32(
-          acc_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1)));
+    const __m512i c = _mm512_set1_epi32(pt.corr[si]);
+    __m512i a0 = c, a1 = c, a2 = c, a3 = c;
+    const QPair* pend = pt.pairs.data() + pt.seg_pairs[si + 1];
+    for (; pr < pend; ++pr) {
+      const std::int8_t* p0 = qb + static_cast<std::int64_t>(pr->col0) * n;
+      const std::int8_t* p1 = qb + static_cast<std::int64_t>(pr->col1) * n;
+      __m512i r0, r1;
+      if constexpr (kTail) {
+        r0 = _mm512_maskz_loadu_epi8(lm, p0);
+        r1 = _mm512_maskz_loadu_epi8(lm, p1);
+      } else {
+        r0 = _mm512_loadu_si512(p0);
+        r1 = _mm512_loadu_si512(p1);
+      }
+      r0 = _mm512_xor_si512(r0, flip);
+      r1 = _mm512_xor_si512(r1, flip);
+      const __m512i lo = _mm512_unpacklo_epi8(r0, r1);
+      const __m512i hi = _mm512_unpackhi_epi8(r0, r1);
+      const __m512i we = _mm512_set1_epi32(pr->word);
+      const __m512i wo = odd_word(we);
+      a0 = _mm512_dpbusd_epi32(a0, lo, we);
+      a1 = _mm512_dpbusd_epi32(a1, lo, wo);
+      a2 = _mm512_dpbusd_epi32(a2, hi, we);
+      a3 = _mm512_dpbusd_epi32(a3, hi, wo);
     }
-    const float m_ = seg.scale * sx;
-    const __m256 mv = _mm256_set1_ps(m_);
-    __m256 t0 = _mm256_mul_ps(mv, _mm256_cvtepi32_ps(acc_lo));
-    UPAQ_NO_CONTRACT(t0);
-    y0 = _mm256_add_ps(y0, t0);
-    __m256 t1 = _mm256_mul_ps(mv, _mm256_cvtepi32_ps(acc_hi));
-    UPAQ_NO_CONTRACT(t1);
-    y1 = _mm256_add_ps(y1, t1);
+    const __m512 mv = _mm512_set1_ps(segs[si].scale * sx);
+    y0 = requant_add16(y0, mv, a0);
+    y1 = requant_add16(y1, mv, a1);
+    y2 = requant_add16(y2, mv, a2);
+    y3 = requant_add16(y3, mv, a3);
   }
-  if (epi != nullptr) {  // the block is final: epilogue in registers
-    y0 = epi8(*epi, ev, y0, skip);
-    y1 = epi8(*epi, ev, y1, skip + 8);
+  __m512 out[4];
+  unpermute64(y0, y1, y2, y3, out);
+  for (int b = 0; b < 4; ++b) {
+    const __mmask16 sm = _cvtu32_mask16(
+        static_cast<std::uint32_t>((live >> (16 * b)) & 0xFFFFu));
+    if (epi != nullptr)  // the block is final: epilogue in registers
+      out[b] = epi16(*epi, ev, out[b], skip + 16 * b, sm);
+    if constexpr (kTail) {
+      _mm512_mask_storeu_ps(yb + 16 * b, sm, out[b]);
+    } else {
+      _mm512_storeu_ps(yb + 16 * b, out[b]);
+    }
   }
-  _mm256_storeu_ps(yb, y0);
-  _mm256_storeu_ps(yb + 8, y1);
 }
 
 }  // namespace
-#endif  // UPAQ_S8_VEC && __AVX2__
+#endif
+
+bool s8_pair_kernel() {
+#if defined(UPAQ_S8_AVX512)
+  return true;
+#else
+  return false;
+#endif
+}
 
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
                       std::int64_t rows, std::int64_t k, const std::int8_t* qx,
                       float sx, std::int64_t n, const float* bias, float* y,
-                      bool codes_fit_i8, const Epilogue* epi) {
-  constexpr std::int64_t kRowGrainI8 = 8;
+                      const QPairTable* pairs, const Epilogue* epi) {
   if (epi != nullptr && !epi->active()) epi = nullptr;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-  if (codes_fit_i8) {
+#if defined(UPAQ_S8_AVX512)
+  if (pairs != nullptr) {
+    constexpr std::int64_t kRowGrainI8 = 8;
     auto row_block = [&](std::int64_t r0, std::int64_t r1) {
       for (std::int64_t r = r0; r < r1; ++r) {
         float* yrow = y + r * n;
         const float bv = bias != nullptr ? bias[r] : 0.0f;
-        const EpiVec ev =
-            epi != nullptr ? epi_vec(*epi, epi_terms(*epi, r)) : EpiVec{};
         // Residual row (y itself when there is none: never read).
         const float* srow =
             epi != nullptr && epi->skip != nullptr ? epi->skip + r * n : yrow;
+        const EpiVec16 ev =
+            epi != nullptr ? epi_vec16(*epi, epi_terms(*epi, r)) : EpiVec16{};
         std::int64_t j0 = 0;
-        for (; j0 + 16 <= n; j0 += 16)
-          s8_row_block16(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
-                         sx, n, j0, bv, yrow + j0, epi, ev, srow + j0);
-        if (j0 < n) {
-          // Column tail (< 16): the scalar-order fused kernels replay the
-          // same bias-then-segments element sequence.
-          const std::int64_t nb = n - j0;
-          std::fill(yrow + j0, yrow + n, bv);
-          std::int32_t iacc[16];
-          for (std::int64_t si = row_segs[r]; si < row_segs[r + 1]; ++si) {
-            const QSegment& seg = segs[si];
-            const std::int64_t len = seg.end - seg.begin;
-            const float m = seg.scale * sx;
-            if (len <= 3) {
-              s8_fused_segment(cols + seg.begin, codes + seg.begin, len, qx, n,
-                               j0, nb, m, yrow + j0);
-            } else {
-              std::fill(iacc, iacc + nb, 0);
-              s8_segment_accumulate(cols + seg.begin, codes + seg.begin, len,
-                                    qx, n, j0, nb, iacc);
-              s8_requant_add(iacc, nb, m, yrow + j0);
-            }
-          }
-          if (epi != nullptr) epi_run(*epi, r, yrow + j0, srow + j0, nb);
-        }
+        for (; j0 + 64 <= n; j0 += 64)
+          s8_row_block64<false>(segs, *pairs, row_segs[r], row_segs[r + 1],
+                                qx, sx, n, j0, 64, bv, yrow + j0, epi, ev,
+                                srow + j0);
+        if (j0 < n)
+          s8_row_block64<true>(segs, *pairs, row_segs[r], row_segs[r + 1],
+                               qx, sx, n, j0, n - j0, bv, yrow + j0, epi, ev,
+                               srow + j0);
       }
     };
     if (rows * k * n < kMinParallelWork) {
@@ -623,8 +727,7 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
     return;
   }
 #else
-  (void)codes_fit_i8;
-  (void)kRowGrainI8;
+  (void)pairs;
 #endif
   // Column block of the generic (len >= 4) path: the int32 accumulator
   // covers kColBlock outputs (2 KiB, L1-resident) instead of the whole
@@ -1537,28 +1640,6 @@ void s8_im2col(const std::int8_t* in, std::int64_t c, std::int64_t h,
       const std::int64_t ch = row / (k * k);
       const int ky = static_cast<int>((row / k) % k);
       const int kx = static_cast<int>(row % k);
-      s8_im2col_row(in, ch, h, w, ky, kx, stride, pad, oh, ow,
-                    out + row * oh * ow);
-    }
-  };
-  if (rows * oh * ow < kMinParallelWork) {
-    fill_rows(0, rows);
-  } else {
-    parallel::parallel_for(0, rows, 4, fill_rows);
-  }
-}
-
-void s8_im2col_taps(const std::int8_t* in, std::int64_t c, std::int64_t h,
-                    std::int64_t w, int k, int stride, int pad,
-                    std::int64_t oh, std::int64_t ow, const std::int32_t* taps,
-                    std::int64_t ntaps, std::int8_t* out) {
-  const std::int64_t rows = c * ntaps;
-  auto fill_rows = [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t row = r0; row < r1; ++row) {
-      const std::int64_t ch = row / ntaps;
-      const std::int32_t tap = taps[row % ntaps];
-      const int ky = tap / k;
-      const int kx = tap % k;
       s8_im2col_row(in, ch, h, w, ky, kx, stride, pad, oh, ow,
                     out + row * oh * ow);
     }

@@ -147,8 +147,41 @@ void s8_requant_add(const std::int32_t* acc, std::int64_t nb, float m,
 /// qnn entry lists share the weight scale `scale`.
 struct QSegment {
   float scale = 1.0f;
-  std::int64_t begin = 0, end = 0;
+  std::int32_t begin = 0, end = 0;
 };
+
+/// Two entries of one segment, pre-encoded for the segment fast path: the
+/// activation rows they read and their codes as the low two signed bytes of
+/// a vpdpbusd weight word. A segment with an odd entry count ends in a pair
+/// whose second entry repeats the first column with code 0.
+struct QPair {
+  std::int32_t col0 = 0, col1 = 0;
+  std::int32_t word = 0;  ///< bytes (w0, w1, 0, 0)
+};
+
+/// Pair table of a segment-path weight whose codes fit int8, indexed by the
+/// same segment numbers as the QSegment list (so the row_segs offsets
+/// address both). Built once per weight (qnn::PackedGemm's constructor), so
+/// run() does no per-call sign or word work.
+struct QPairTable {
+  std::vector<QPair> pairs;
+  /// nseg + 1 offsets: segment s owns pairs [seg_pairs[s], seg_pairs[s+1]).
+  std::vector<std::int32_t> seg_pairs;
+  /// Per segment, the +128 activation-bias correction -128 * sum(w),
+  /// reduced mod 2^32 (the kernel's int32 sums wrap the same way).
+  std::vector<std::int32_t> corr;
+  bool empty() const { return corr.empty(); }
+};
+
+/// True when this build's segment kernel has a pair-table fast path
+/// (AVX-512BW + VNNI targets); elsewhere s8_gemm_segments ignores `pairs`,
+/// so callers build no table.
+bool s8_pair_kernel();
+
+/// Builds the pair table of `nseg` segments over the entry lists. Every code
+/// must satisfy |code| <= 127 (weight bits <= 8).
+QPairTable s8_pack_pairs(const std::int32_t* cols, const std::int32_t* codes,
+                         const QSegment* segs, std::int64_t nseg);
 
 /// The whole segment-path integer GEMM (qnn::PackedGemm's sparse branch):
 /// y(rows, n) = requant(Wq * Xq) + bias over the entry lists, column-blocked
@@ -160,18 +193,25 @@ struct QSegment {
 /// Parallel over row blocks (disjoint outputs, shape-only gating), so
 /// thread-count independent.
 ///
-/// `codes_fit_i8` (every |code| <= 127, i.e. weight bits <= 8) unlocks the
-/// vpmaddubsw 2-MACs/lane sub-byte kernel: entry pairs multiply as
-/// |w| x sign-transferred activations with exact int16 pair sums
-/// (2 * 127^2 < 2^15) widened to int32, and a 16-column output block stays
-/// in registers across all of a row's segments. Integer sums are exact either
-/// way, and the per-element float sequence is unchanged, so the flag can
-/// never alter results — only speed.
+/// A non-null `pairs` (the s8_pack_pairs table of the same segments) selects
+/// the fast path. On AVX-512BW/VNNI builds that is a 64-column row block:
+/// four zmm float accumulators hold the output across all of a row's
+/// segments; each pair streams 64 activation bytes from each of its two rows,
+/// flips them to unsigned (x ^ 0x80 = x + 128), byte-interleaves the rows and
+/// multiplies with vpdpbusd against the pair's weight word and its copy
+/// shifted to the upper two bytes (the even and the odd columns); the
+/// segment's int32 sums start at the table's -128 * sum(w) correction, so
+/// they end at exactly sum(w * x) (int32 wraps mod 2^32 and the true sum
+/// fits). Masked loads and stores cover n % 64 without reading past a row.
+/// Builds without those ISA extensions (s8_pair_kernel() false) ignore
+/// `pairs` and run the generic path. Integer sums are exact on every path
+/// and the per-element float sequence is unchanged, so `pairs` can never
+/// alter results — only speed. A null `pairs` runs the portable generic path.
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
                       std::int64_t rows, std::int64_t k, const std::int8_t* qx,
                       float sx, std::int64_t n, const float* bias, float* y,
-                      bool codes_fit_i8 = false,
+                      const QPairTable* pairs = nullptr,
                       const Epilogue* epi = nullptr);
 
 // ---------------------------------------------------------------------------
@@ -304,19 +344,5 @@ float s8_quantize(const float* src, std::int64_t n, int bits, std::int8_t* dst);
 void s8_im2col(const std::int8_t* in, std::int64_t c, std::int64_t h,
                std::int64_t w, int k, int stride, int pad, std::int64_t oh,
                std::int64_t ow, std::int8_t* out);
-
-/// Tap-compacted int8 im2col gather for pattern-pruned convs: only the
-/// `ntaps` surviving kernel slots (`taps[t]` = ky*k + kx, ascending) are
-/// gathered per input channel, so the column matrix has c*ntaps rows instead
-/// of c*k*k — the k-dimension shrinks by the pruned fraction before the GEMM
-/// ever runs. Row r of `out` is exactly row (r/ntaps)*k*k + taps[r%ntaps] of
-/// the full s8_im2col matrix (same byte moves, same padding-zero fills), so
-/// feeding the compacted matrix to a weight panel whose columns were
-/// compacted by the same tap list is bitwise identical to the full gather.
-/// `out` must hold (c*ntaps, oh*ow) codes.
-void s8_im2col_taps(const std::int8_t* in, std::int64_t c, std::int64_t h,
-                    std::int64_t w, int k, int stride, int pad,
-                    std::int64_t oh, std::int64_t ow, const std::int32_t* taps,
-                    std::int64_t ntaps, std::int8_t* out);
 
 }  // namespace upaq::gemm

@@ -271,41 +271,22 @@ TEST(Autotune, EmitsObsPinEventWithPerCandidateTimings) {
   obs::reset();
 }
 
-TEST(Autotune, PatternCandidateRacesOnlyOnPatternEligibleWeights) {
+TEST(Autotune, PatternPrunedConvRacesTheFixedCandidates) {
   Rng rng(99);
   // Conv-shaped weight whose kernels keep only the top-row slots {0, 1, 2}:
-  // pattern_eligible holds, so the pattern panel joins the race as the last
-  // fixed-order candidate — and the scripted clock hands it the win.
+  // pattern sparsity adds no candidate — the segment kernel already skips
+  // the pruned taps, so the fixed list stays float/segment/int8/int4.
   Tensor wv = Tensor::normal({8, 4, 3, 3}, rng);
   for (std::int64_t i = 0; i < wv.numel(); ++i)
     if (i % 9 >= 3) wv[i] = 0.0f;
   nn::Parameter w("w", wv);
-  ScriptedClock clk{{500, 400, 300, 200, 100}};
+  ScriptedClock clk{{500, 100, 300, 200}};
   const qnn::TuneDecision d =
       qnn::tune_gemm(w, 8, 36, 16, spec4(), "l.pat", scripted(clk));
-  ASSERT_EQ(d.candidates.size(), 5u);
-  EXPECT_EQ(d.candidates[4].kernel, TunedKernel::kPatternPanel);
-  EXPECT_EQ(d.candidates[4].ns, 100u);
-  EXPECT_EQ(d.winner, TunedKernel::kPatternPanel);
-  EXPECT_EQ(*clk.calls, 2u * 5u);
-
-  // Dense conv weight: the tap union fills every slot, compaction would be
-  // a no-op, no pattern candidate (the fixed list stays at four).
-  nn::Parameter wd("wd", Tensor::normal({8, 4, 3, 3}, rng));
-  ScriptedClock clk2{{400, 300, 200, 100}};
-  const qnn::TuneDecision d2 =
-      qnn::tune_gemm(wd, 8, 36, 16, spec4(), "l.dense", scripted(clk2));
-  EXPECT_EQ(d2.candidates.size(), 4u);
-  // Rank-2 weight (no conv geometry): likewise no pattern candidate, even
-  // when sparse.
-  Tensor lv = Tensor::normal({8, 36}, rng);
-  for (std::int64_t i = 0; i < lv.numel(); ++i)
-    if (i % 3 != 0) lv[i] = 0.0f;
-  nn::Parameter wl("wl", lv);
-  ScriptedClock clk3{{400, 300, 200, 100}};
-  const qnn::TuneDecision d3 =
-      qnn::tune_gemm(wl, 8, 36, 16, spec4(), "l.lin", scripted(clk3));
-  EXPECT_EQ(d3.candidates.size(), 4u);
+  ASSERT_EQ(d.candidates.size(), 4u);
+  EXPECT_EQ(d.candidates[1].kernel, TunedKernel::kSegment);
+  EXPECT_EQ(d.winner, TunedKernel::kSegment);
+  EXPECT_EQ(*clk.calls, 2u * 4u);
 }
 
 }  // namespace

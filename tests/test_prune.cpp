@@ -151,8 +151,7 @@ TEST(Pattern, AllPatternsOneByOneKernelCollapsesToTheSinglePosition) {
 
 TEST(Pattern, AllPatternsDegenerateDiagonalsAtNEqualsD) {
   // n == d: the diagonals use every (j, j) / (j, d-1-j) position — the
-  // longest patterns the generator can emit, and the widest tap lists the
-  // pattern kernels compact to.
+  // longest patterns the generator can emit.
   for (int d : {3, 5}) {
     const auto all = prune::all_patterns(d, d);
     const auto& main_d = all[0];

@@ -9,8 +9,11 @@
 //   - 1-thread vs 4-thread bitwise determinism of the panel kernel;
 //   - the steady-state zero-allocation contract for panel scratch;
 //   - the qgemm_macs counter (surviving entries x columns, both paths);
+//   - the segment kernel's fast path (pair table) against its portable
+//     generic path, bitwise, at 1 and 4 threads, with and without an
+//     epilogue;
 //   - the fused inference epilogue on every integer kernel (segment, both
-//     its sub-byte and generic paths, int8 / int4 / pattern panels, and the
+//     its fast and generic paths, int8 / int4 panels, and the
 //     PFN's run_t): fused == layer by layer, bitwise, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
@@ -41,11 +44,18 @@ using PanelMode = qnn::PackedGemm::PanelMode;
 
 struct Case {
   std::int64_t rows, k, n;
+  /// > 0: a conv-shaped (rows, k / 9, 3, 3) weight keeping `taps` slots of
+  /// every 3x3 kernel, the slots drawn per kernel (HCK's mixed patterns).
+  int taps = 0;
 };
 
 // Edge tiles relative to the MR=6 / NR=8 micro-tile, plus one multi-stripe
 // (n > kQNC = 256) and one multi-slab (k > kQKC = 512) entry. Odd k values
-// exercise the phantom pair position of the interleaved layout.
+// exercise the phantom pair position of the interleaved layout. The n = 64,
+// 65, 129 and 1040 entries sit on and just past the segment fast path's
+// 64-column block (a 1-column and a 16-column masked tail), and the last
+// entry is head.conv0's HCK shape: 48 rows, 72 input channels, 2 taps per
+// kernel.
 const Case kCases[] = {
     {1, 1, 1},      // degenerate everything
     {6, 48, 8},     // exactly one full micro-tile grid
@@ -54,6 +64,11 @@ const Case kCases[] = {
     {23, 64, 72},   // several row panels, ragged last
     {13, 520, 40},  // k > kQKC: multi-slab when the group divides k
     {10, 64, 300},  // n > kQNC: multi-stripe
+    {9, 40, 64},    // exactly one 64-column block
+    {7, 33, 65},    // one block + 1-column tail
+    {11, 27, 129},  // two blocks + 1-column tail
+    {5, 19, 1040},  // 16 blocks + 16-column tail
+    {48, 72 * 9, 200, 2},  // HCK head.conv0 shape, 3 blocks + 8-column tail
 };
 
 /// Weight matrix with an exact fraction of zeroed entries (deterministic
@@ -64,6 +79,22 @@ Tensor make_weight(std::int64_t rows, std::int64_t k, double zero_frac,
   if (zero_frac > 0.0)
     for (std::int64_t i = 0; i < w.numel(); ++i)
       if (static_cast<double>(i % 100) < zero_frac * 100.0) w[i] = 0.0f;
+  return w;
+}
+
+/// The weight of a kCases entry: make_weight's striped zeros, or for a
+/// conv-shaped case `c.taps` surviving slots per 3x3 kernel.
+Tensor make_case_weight(const Case& c, double zero_frac, Rng& rng) {
+  if (c.taps == 0) return make_weight(c.rows, c.k, zero_frac, rng);
+  Tensor w = Tensor::normal({c.rows, c.k / 9, 3, 3}, rng);
+  for (std::int64_t kern = 0; kern < c.rows * (c.k / 9); ++kern) {
+    std::vector<int> slots = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+    for (int i = 8; i > 0; --i)
+      std::swap(slots[static_cast<std::size_t>(i)],
+                slots[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+    for (std::size_t i = static_cast<std::size_t>(c.taps); i < 9; ++i)
+      w[kern * 9 + slots[i]] = 0.0f;
+  }
   return w;
 }
 
@@ -109,7 +140,7 @@ TEST(QgemmKernel, PanelMatchesSegmentBitwise) {
       for (std::int64_t group : {std::int64_t{0}, std::int64_t{9},
                                  std::int64_t{8}, c.k}) {
         for (double zero_frac : {0.0, 0.3}) {
-          const Tensor w = make_weight(c.rows, c.k, zero_frac, rng);
+          const Tensor w = make_case_weight(c, zero_frac, rng);
           char what[128];
           std::snprintf(what, sizeof(what),
                         "m=%lld k=%lld n=%lld bits=%d group=%lld zeros=%.1f",
@@ -311,35 +342,177 @@ TEST(QgemmKernel, ThreadCountInvariantBitwise) {
   }
 }
 
+/// Segment-kernel entry lists of a packed weight, built here independently
+/// of qnn::PackedGemm: per row, the nonzero codes in column order, one
+/// segment per (row, scale group) slice.
+struct SegmentLists {
+  std::vector<std::int32_t> cols, codes;
+  std::vector<gemm::QSegment> segs;
+  std::vector<std::int64_t> row_segs;  ///< rows + 1 offsets into segs
+};
+
+SegmentLists segment_lists(const qnn::PackedTensor& p, std::int64_t rows,
+                           std::int64_t k) {
+  SegmentLists l;
+  std::vector<std::int64_t> seg_row;
+  const std::int64_t g = p.effective_group();
+  std::int64_t cur_row = -1, cur_group = -1;
+  for (std::int64_t i = 0; i < p.stored_count(); ++i) {
+    const std::int32_t code = p.code(i);
+    if (code == 0) continue;
+    const std::int64_t e = p.flat_index(i);
+    const std::int64_t row = e / k, group = e / g;
+    const auto at = static_cast<std::int32_t>(l.cols.size());
+    if (row != cur_row || group != cur_group) {
+      if (!l.segs.empty()) l.segs.back().end = at;
+      l.segs.push_back({p.scales[static_cast<std::size_t>(group)], at, at});
+      seg_row.push_back(row);
+      cur_row = row;
+      cur_group = group;
+    }
+    l.cols.push_back(static_cast<std::int32_t>(e % k));
+    l.codes.push_back(code);
+  }
+  if (!l.segs.empty())
+    l.segs.back().end = static_cast<std::int32_t>(l.cols.size());
+  l.row_segs.assign(static_cast<std::size_t>(rows) + 1, 0);
+  for (const std::int64_t r : seg_row)
+    ++l.row_segs[static_cast<std::size_t>(r) + 1];
+  for (std::int64_t r = 0; r < rows; ++r)
+    l.row_segs[static_cast<std::size_t>(r) + 1] +=
+        l.row_segs[static_cast<std::size_t>(r)];
+  return l;
+}
+
+TEST(QgemmKernel, SegmentFastPathMatchesGenericPathBitwise) {
+  // Every packed kernel is checked against the segment kernel, so the
+  // segment kernel's own fast path (the pair table) is checked here against
+  // its portable generic path (no table), over the kCases grid. Groups of
+  // 1, 3 and 5 make segments of those lengths, so pairs with an unpaired
+  // last entry occur; groups of 9 are UPAQ's per-kernel segments and group 0
+  // gives whole-row segments. The activations sit in their own exact-size
+  // allocation, so a block load past the last row reads out of bounds under
+  // ASan. Every output must match the 1-thread generic output bitwise, at 1
+  // and 4 threads, with no epilogue and with BN + residual + LeakyReLU.
+  Rng rng(6464);
+  for (const auto& c : kCases)
+    for (int bits : {2, 4, 8})
+      for (std::int64_t group : {std::int64_t{1}, std::int64_t{3},
+                                 std::int64_t{5}, std::int64_t{9},
+                                 std::int64_t{0}})
+        for (double zero_frac : {0.0, 0.3}) {
+          const Tensor w = make_case_weight(c, zero_frac, rng);
+          const auto packed =
+              qnn::pack(w, bits, group, quant::StorageFormat::kDense);
+          const SegmentLists l = segment_lists(packed, c.rows, c.k);
+          const gemm::QPairTable pairs = gemm::s8_pack_pairs(
+              l.cols.data(), l.codes.data(), l.segs.data(),
+              static_cast<std::int64_t>(l.segs.size()));
+          const qnn::QuantizedActs qa =
+              qnn::quantize_acts(Tensor::uniform({c.k, c.n}, rng), 8);
+
+          const auto per_row = [&](float lo, float hi) {
+            std::vector<float> v(static_cast<std::size_t>(c.rows));
+            for (auto& x : v) x = rng.uniform(lo, hi);
+            return v;
+          };
+          std::vector<float> bias = per_row(-1.0f, 1.0f);
+          bias[0] = -0.0f;
+          std::vector<float> gamma = per_row(0.5f, 1.5f);
+          std::vector<float> mean = per_row(-0.5f, 0.5f);
+          const std::vector<float> inv_std = per_row(0.5f, 2.0f);
+          std::vector<float> beta = per_row(-0.5f, 0.5f);
+          gamma[0] = 0.0f;
+          beta[0] = -0.0f;
+          const Tensor skip = testing::edge_tensor({c.rows, c.n}, rng);
+          gemm::Epilogue full;
+          full.gamma = gamma.data();
+          full.mean = mean.data();
+          full.inv_std = inv_std.data();
+          full.beta = beta.data();
+          full.skip = skip.data();
+          full.relu = true;
+          full.slope = 0.1f;
+
+          const auto run = [&](const gemm::QPairTable* pt,
+                               const gemm::Epilogue* epi) {
+            Tensor y({c.rows, c.n});
+            gemm::s8_gemm_segments(l.cols.data(), l.codes.data(),
+                                   l.segs.data(), l.row_segs.data(), c.rows,
+                                   c.k, qa.codes.data(), qa.scale, c.n,
+                                   bias.data(), y.data(), pt, epi);
+            return y;
+          };
+          const gemm::Epilogue* const epis[] = {nullptr, &full};
+          for (const gemm::Epilogue* epi : epis) {
+            parallel::set_thread_count(1);
+            const Tensor ref = run(nullptr, epi);
+            for (const int threads : {1, 4}) {
+              parallel::set_thread_count(threads);
+              char what[160];
+              std::snprintf(what, sizeof(what),
+                            "fast vs generic m=%lld k=%lld n=%lld bits=%d "
+                            "group=%lld zeros=%.1f epi=%d threads=%d",
+                            static_cast<long long>(c.rows),
+                            static_cast<long long>(c.k),
+                            static_cast<long long>(c.n), bits,
+                            static_cast<long long>(group), zero_frac,
+                            epi != nullptr, threads);
+              expect_bitwise_equal(run(&pairs, epi), ref, what);
+              expect_bitwise_equal(run(nullptr, epi), ref, what);
+            }
+          }
+          parallel::set_thread_count(1);
+        }
+}
+
 TEST(QgemmKernel, SteadyStatePanelRunsDoNotGrowArena) {
-  // The panel kernel's B-pack scratch comes from the workspace arena; after
-  // warm-up, repeated run() calls must be allocation-free. Single-threaded
-  // so the main thread's arena observes every allocation.
+  // The panel kernel's B-pack scratch and the generic segment path's int32
+  // block accumulator come from the workspace arena, and the segment fast
+  // path (8-bit codes) keeps its whole block in registers; after warm-up,
+  // repeated run() calls must be allocation-free on all three.
+  // Single-threaded so the main thread's arena observes every allocation.
   parallel::set_thread_count(1);
   { workspace::Scope flush; }  // drain earlier tests' cached blocks
   Rng rng(1212);
   const std::int64_t rows = 24, k = 300, n = 310;
-  const Tensor w = make_weight(rows, k, 0.0, rng);
-  const auto packed = qnn::pack(w, 8, 0, quant::StorageFormat::kDense);
-  PackedGemm g(packed, rows, k, PanelMode::kForcePanel);
   const Tensor x = Tensor::uniform({k, n}, rng);
   const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  Tensor y({rows, n});
+  struct Kernel {
+    const char* name;
+    PanelMode mode;
+    int bits;
+    double zero_frac;
+    bool arena;  ///< the kernel takes arena scratch
+  };
+  const Kernel kernels[] = {
+      {"panel", PanelMode::kForcePanel, 8, 0.0, true},
+      {"segment(fast)", PanelMode::kForceSegment, 8, 0.7, false},
+      {"segment(generic)", PanelMode::kForceSegment, 12, 0.7, true},
+  };
+  for (const Kernel& kern : kernels) {
+    const Tensor w = make_weight(rows, k, kern.zero_frac, rng);
+    const auto packed =
+        qnn::pack(w, kern.bits, 0, quant::StorageFormat::kDense);
+    PackedGemm g(packed, rows, k, kern.mode);
+    Tensor y({rows, n});
 
-  for (int i = 0; i < 2; ++i) g.run(qa, nullptr, y);  // warm-up
-  const workspace::Stats warm = workspace::stats();
-  for (int i = 0; i < 5; ++i) g.run(qa, nullptr, y);
-  const workspace::Stats steady = workspace::stats();
-  EXPECT_EQ(steady.block_allocs, warm.block_allocs)
-      << "steady-state panel run() grew the workspace arena";
-  EXPECT_GT(steady.reuses, warm.reuses)
-      << "panel run() did not route its pack scratch through the arena";
+    for (int i = 0; i < 2; ++i) g.run(qa, nullptr, y);  // warm-up
+    const workspace::Stats warm = workspace::stats();
+    for (int i = 0; i < 5; ++i) g.run(qa, nullptr, y);
+    const workspace::Stats steady = workspace::stats();
+    EXPECT_EQ(steady.block_allocs, warm.block_allocs)
+        << "steady-state " << kern.name << " run() grew the workspace arena";
+    if (kern.arena) {
+      EXPECT_GT(steady.reuses, warm.reuses)
+          << kern.name << " run() did not route its scratch through the arena";
+    }
+  }
 }
 
 /// Conv-shaped weight (out_c, in_c, d, d) with a kernel pattern stamped onto
 /// every kernel via expand_kernel_mask — exactly how Algorithm 3 applies a
-/// root's pattern to a layer, and the input geometry the pattern panel's tap
-/// derivation reads from the packed shape.
+/// root's pattern to a layer.
 Tensor make_pattern_weight(std::int64_t out_c, std::int64_t in_c,
                            const prune::KernelPattern& p, Rng& rng) {
   Tensor w = Tensor::normal({out_c, in_c, p.d, p.d}, rng);
@@ -348,277 +521,25 @@ Tensor make_pattern_weight(std::int64_t out_c, std::int64_t in_c,
   return w;
 }
 
-/// Full-k to tap-compacted activation gather, mirroring the contract
-/// s8_im2col_taps implements for convs: compacted row r holds full row
-/// (r / ntaps) * period + taps[r % ntaps].
-std::vector<std::int8_t> compact_acts(const qnn::QuantizedActs& qa,
-                                      const PackedGemm& g, std::int64_t n) {
-  const auto& taps = *g.pattern_taps();
-  const std::int64_t ntaps = static_cast<std::int64_t>(taps.size());
-  const std::int64_t period = g.pattern_period();
-  std::vector<std::int8_t> cx(static_cast<std::size_t>(g.k_compact() * n));
-  for (std::int64_t r = 0; r < g.k_compact(); ++r) {
-    const std::int64_t full = (r / ntaps) * period + taps[r % ntaps];
-    std::copy_n(qa.codes.data() + full * n, n, cx.data() + r * n);
-  }
-  return cx;
-}
-
-TEST(QgemmKernel, PatternPanelMatchesSegmentAndIntPanelsBitwise) {
-  // The whole pattern grid: every PatternType all_patterns enumerates for
-  // the case's (n_kept, d), against the segment kernel AND the full-k int
-  // panel, at 4 and 8 weight bits, with group sizes that are one tap period
-  // (UPAQ's per-kernel groups), per-tensor, and an odd non-divisor (forcing
-  // the single-slab compacted layout). The 60-channel 3x3 case compacts
-  // from k = 540 (> kQKC = 512, multi-slab) down to 60 * n_kept.
-  Rng rng(20260);
-  struct PCase {
-    std::int64_t out_c, in_c;
-    int n_kept, d;
-    std::int64_t n;
-  };
-  const PCase cases[] = {
-      {7, 4, 2, 3, 33},    // ragged everything, 2-tap patterns
-      {13, 60, 3, 3, 40},  // multi-slab full k = 540, diag/row/col of 3
-      {6, 5, 4, 5, 18},    // 5x5 kernels, 4-tap segments off the border
-  };
-  for (const auto& c : cases) {
-    const std::vector<prune::KernelPattern> patterns =
-        prune::all_patterns(c.n_kept, c.d);
-    ASSERT_FALSE(patterns.empty());
-    for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-      const prune::KernelPattern& p = patterns[pi];
-      const std::int64_t period = static_cast<std::int64_t>(c.d) * c.d;
-      for (std::int64_t group :
-           {std::int64_t{0}, period, std::int64_t{7}}) {
-        for (int bits : {4, 8}) {
-          const Tensor w = make_pattern_weight(c.out_c, c.in_c, p, rng);
-          const auto packed =
-              qnn::pack(w, bits, group, quant::StorageFormat::kDense);
-          const std::int64_t rows = c.out_c, k = c.in_c * period;
-          PackedGemm pat(packed, rows, k, PanelMode::kForcePattern);
-          PackedGemm seg(packed, rows, k, PanelMode::kForceSegment);
-          PackedGemm full(packed, rows, k,
-                          bits <= 4 ? PanelMode::kForceInt4
-                                    : PanelMode::kForceInt8);
-          ASSERT_EQ(pat.kernel_kind(), PackedGemm::KernelKind::kPatternPanel);
-          ASSERT_TRUE(pat.pattern_active());
-          ASSERT_EQ(pat.pattern_period(), period);
-          ASSERT_LE(static_cast<std::int64_t>(pat.pattern_taps()->size()),
-                    std::int64_t{c.n_kept});
-          ASSERT_EQ(pat.k_compact(),
-                    (k / period) *
-                        static_cast<std::int64_t>(pat.pattern_taps()->size()));
-
-          const Tensor x = Tensor::uniform({k, c.n}, rng);
-          const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-          std::vector<float> bias(static_cast<std::size_t>(rows));
-          for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
-          char what[160];
-          std::snprintf(what, sizeof(what),
-                        "pattern %s out_c=%lld in_c=%lld bits=%d group=%lld",
-                        p.key().c_str(), static_cast<long long>(c.out_c),
-                        static_cast<long long>(c.in_c), bits,
-                        static_cast<long long>(group));
-
-          Tensor yp({rows, c.n}), ysg({rows, c.n}), yf({rows, c.n});
-          pat.run(qa, bias.data(), yp);
-          seg.run(qa, bias.data(), ysg);
-          full.run(qa, bias.data(), yf);
-          expect_bitwise_equal(yp, ysg, what);
-          expect_bitwise_equal(yp, yf, what);
-
-          // run_compact on a pre-gathered tap matrix is the same kernel
-          // without the internal gather — bitwise equal by the compaction
-          // contract.
-          const std::vector<std::int8_t> cx = compact_acts(qa, pat, c.n);
-          Tensor yc({rows, c.n});
-          pat.run_compact(cx.data(), qa.scale, c.n, bias.data(), yc.data());
-          expect_bitwise_equal(yp, yc, what);
-        }
-      }
-    }
-  }
-}
-
-TEST(QgemmKernel, AutoDispatchRoutesPatternSparsityToPatternPanel) {
+TEST(QgemmKernel, AutoDispatchKeepsPatternPrunedConvsOnSegmentKernel) {
   Rng rng(606);
   const std::vector<prune::KernelPattern> diag3 = prune::all_patterns(3, 3);
   const prune::KernelPattern& diag = diag3.front();  // main diagonal of 3x3
   // Pattern-pruned conv shape (6/9 slots masked, zero_frac ~0.67 above the
-  // density threshold): the pattern panel.
+  // density threshold): the segment kernel never touches the masked taps.
   {
     const Tensor w = make_pattern_weight(8, 6, diag, rng);
     const auto p = qnn::pack(w, 4, 9, quant::StorageFormat::kDense);
-    PackedGemm g(p, 8, 6 * 9);
-    EXPECT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kPatternPanel);
-    EXPECT_EQ(g.k_compact(), 6 * 3);
+    EXPECT_EQ(PackedGemm(p, 8, 6 * 9).kernel_kind(),
+              PackedGemm::KernelKind::kSegment);
   }
-  // Dense conv shape: the ordinary int panel (no taps to drop).
+  // Dense conv shape: the int4 panel.
   {
     Tensor w = Tensor::normal({8, 6, 3, 3}, rng);
     const auto p = qnn::pack(w, 4, 9, quant::StorageFormat::kDense);
     EXPECT_EQ(PackedGemm(p, 8, 6 * 9).kernel_kind(),
               PackedGemm::KernelKind::kInt4Panel);
   }
-  // Same sparsity in a rank-2 weight (no conv geometry): the segment kernel
-  // keeps it — there is no tap period to compact.
-  {
-    const Tensor w = make_weight(8, 54, 0.67, rng);
-    const auto p = qnn::pack(w, 4, 9, quant::StorageFormat::kDense);
-    EXPECT_EQ(PackedGemm(p, 8, 54).kernel_kind(),
-              PackedGemm::KernelKind::kSegment);
-  }
-  // 1x1 conv shape: degenerate kernel, nothing to compact.
-  {
-    Tensor w = Tensor::normal({8, 16, 1, 1}, rng);
-    for (std::int64_t i = 0; i < w.numel(); ++i)
-      if (i % 3 != 0) w[i] = 0.0f;
-    const auto p = qnn::pack(w, 4, 0, quant::StorageFormat::kDense);
-    EXPECT_NE(PackedGemm(p, 8, 16).kernel_kind(),
-              PackedGemm::KernelKind::kPatternPanel);
-  }
-}
-
-TEST(QgemmKernel, PatternPanelThreadCountInvariantBitwise) {
-  // Multi-stripe n and enough rows that both the gather and the panel kernel
-  // split across lanes; the compacted layout is a property of the tap list,
-  // so 1-thread and 4-thread runs must be bitwise equal.
-  Rng rng(1717);
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(2, 3);
-  const Tensor w = make_pattern_weight(27, 21, pats[3], rng);
-  const auto packed = qnn::pack(w, 4, 9, quant::StorageFormat::kDense);
-  const std::int64_t rows = 27, k = 21 * 9, n = 530;
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  std::vector<float> bias(static_cast<std::size_t>(rows), 0.375f);
-
-  PackedGemm g(packed, rows, k, PanelMode::kForcePattern);
-  ASSERT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kPatternPanel);
-  parallel::set_thread_count(1);
-  Tensor y1({rows, n});
-  g.run(qa, bias.data(), y1);
-  parallel::set_thread_count(4);
-  Tensor y4({rows, n});
-  g.run(qa, bias.data(), y4);
-  parallel::set_thread_count(1);
-  expect_bitwise_equal(y1, y4, "pattern panel thread-count divergence");
-}
-
-TEST(QgemmKernel, PatternPanelSteadyStateRunsDoNotGrowArena) {
-  // The full-k entry's tap gather and the panel's B-pack scratch both come
-  // from the workspace arena — once warm, repeated run() calls allocate
-  // nothing.
-  parallel::set_thread_count(1);
-  { workspace::Scope flush; }
-  Rng rng(99);
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(3, 3);
-  const Tensor w = make_pattern_weight(18, 30, pats[0], rng);
-  const auto packed = qnn::pack(w, 4, 9, quant::StorageFormat::kDense);
-  const std::int64_t rows = 18, k = 30 * 9, n = 290;
-  PackedGemm g(packed, rows, k, PanelMode::kForcePattern);
-  ASSERT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kPatternPanel);
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  Tensor y({rows, n});
-
-  for (int i = 0; i < 2; ++i) g.run(qa, nullptr, y);  // warm-up
-  const workspace::Stats warm = workspace::stats();
-  for (int i = 0; i < 5; ++i) g.run(qa, nullptr, y);
-  const workspace::Stats steady = workspace::stats();
-  EXPECT_EQ(steady.block_allocs, warm.block_allocs)
-      << "steady-state pattern panel run() grew the workspace arena";
-  EXPECT_GT(steady.reuses, warm.reuses)
-      << "pattern panel run() did not route its scratch through the arena";
-}
-
-TEST(QgemmKernel, PatternTapsSkippedCounterChargesElidedPositions) {
-  // pattern_taps_skipped = dropped k rows x output columns per forward;
-  // qgemm_macs stays surviving entries x columns on every kernel, and the
-  // non-pattern kernels charge no taps at all.
-  Rng rng(4040);
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(3, 3);
-  const Tensor w = make_pattern_weight(11, 8, pats[1], rng);
-  const auto packed = qnn::pack(w, 8, 9, quant::StorageFormat::kDense);
-  const std::int64_t rows = 11, k = 8 * 9, n = 23;
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  Tensor y({rows, n});
-
-  prof::set_enabled(true);
-  {
-    PackedGemm g(packed, rows, k, PanelMode::kForcePattern);
-    const std::uint64_t macs0 = prof::counter_value(prof::Counter::kQgemmMacs);
-    const std::uint64_t taps0 =
-        prof::counter_value(prof::Counter::kPatternTapsSkipped);
-    g.run(qa, nullptr, y);
-    EXPECT_EQ(prof::counter_value(prof::Counter::kQgemmMacs) - macs0,
-              static_cast<std::uint64_t>(g.entry_count()) *
-                  static_cast<std::uint64_t>(n));
-    EXPECT_EQ(
-        prof::counter_value(prof::Counter::kPatternTapsSkipped) - taps0,
-        static_cast<std::uint64_t>(k - g.k_compact()) *
-            static_cast<std::uint64_t>(n));
-  }
-  {
-    PackedGemm g(packed, rows, k, PanelMode::kForceSegment);
-    const std::uint64_t taps0 =
-        prof::counter_value(prof::Counter::kPatternTapsSkipped);
-    g.run(qa, nullptr, y);
-    EXPECT_EQ(prof::counter_value(prof::Counter::kPatternTapsSkipped), taps0);
-  }
-  prof::set_enabled(false);
-}
-
-TEST(QgemmKernel, LayersSharingARootPatternShareOneTapList) {
-  // Pattern fusion: leaf layers stamped from one root pattern derive the
-  // same (period, taps) and must intern ONE immutable tap list — pointer
-  // equality, not just value equality.
-  Rng rng(505);
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(3, 3);
-  const Tensor wa = make_pattern_weight(9, 4, pats[0], rng);
-  const Tensor wb = make_pattern_weight(17, 12, pats[0], rng);  // other shape
-  const Tensor wc = make_pattern_weight(9, 4, pats[1], rng);  // other pattern
-  PackedGemm ga(qnn::pack(wa, 8, 9, quant::StorageFormat::kDense), 9, 36,
-                PanelMode::kForcePattern);
-  PackedGemm gb(qnn::pack(wb, 8, 9, quant::StorageFormat::kDense), 17, 108,
-                PanelMode::kForcePattern);
-  PackedGemm gc(qnn::pack(wc, 8, 9, quant::StorageFormat::kDense), 9, 36,
-                PanelMode::kForcePattern);
-  ASSERT_TRUE(ga.pattern_taps() && gb.pattern_taps() && gc.pattern_taps());
-  EXPECT_EQ(ga.pattern_taps().get(), gb.pattern_taps().get());
-  EXPECT_NE(ga.pattern_taps().get(), gc.pattern_taps().get());
-}
-
-TEST(QgemmKernel, PackedConv2dPatternForwardMatchesSegmentBitwise) {
-  // End to end through the conv engine: the forced-pattern engine runs the
-  // tap-compacted im2col (s8_im2col_taps) + run_compact, the forced-segment
-  // engine the full gather + entry-skip kernel — identical outputs, bitwise,
-  // including padding rows (masked taps never materialize on the pattern
-  // side, padded positions are zero codes on both).
-  Rng rng(31337);
-  nn::Conv2d conv(6, 10, 3, 2, 1, true, rng, "pat_conv");
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(2, 3);
-  const Tensor mask =
-      prune::expand_kernel_mask(pats[5], conv.weight().value.shape());
-  for (std::int64_t i = 0; i < conv.weight().value.numel(); ++i)
-    conv.weight().value[i] *= mask[i];
-  conv.weight().mark_mutated();
-
-  qnn::LowerSpec spec;
-  spec.weight_bits = 4;
-  spec.group_size = 9;
-  spec.mode = PanelMode::kForcePattern;
-  qnn::PackedConv2d pat(conv, spec);
-  spec.mode = PanelMode::kForceSegment;
-  qnn::PackedConv2d seg(conv, spec);
-  ASSERT_EQ(pat.gemm().kernel_kind(), PackedGemm::KernelKind::kPatternPanel);
-  ASSERT_EQ(seg.gemm().kernel_kind(), PackedGemm::KernelKind::kSegment);
-
-  const Tensor x = Tensor::uniform({2, 6, 13, 11}, rng);
-  const Tensor yp = pat.forward(x);
-  const Tensor ys = seg.forward(x);
-  expect_bitwise_equal(yp, ys, "conv pattern-vs-segment forward");
 }
 
 TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
@@ -654,7 +575,7 @@ TEST(QgemmKernel, FusedEpilogueMatchesLayerByLayerOnEveryKernel) {
     int bits;
     PackedGemm::KernelKind kind;
   };
-  // 8-bit codes take the segment kernel's in-register sub-byte path, 12-bit
+  // 8-bit codes take the segment kernel's fast path (the pair table), 12-bit
   // codes its generic int32-accumulate path.
   const Kernel kernels[] = {
       {"segment(i8)", PanelMode::kForceSegment, 8,
@@ -665,28 +586,22 @@ TEST(QgemmKernel, FusedEpilogueMatchesLayerByLayerOnEveryKernel) {
        PackedGemm::KernelKind::kInt8Panel},
       {"int4 panel", PanelMode::kForceInt4, 4,
        PackedGemm::KernelKind::kInt4Panel},
-      {"pattern panel", PanelMode::kForcePattern, 8,
-       PackedGemm::KernelKind::kPatternPanel},
   };
   // Odd columns (9 x 13 = 117 per item, batch 2) leave 16-wide, 8-wide and
   // scalar tails; the 64-channel geometry has k = 576 > kQKC (multi-slab:
-  // the epilogue must wait for the last slab's flushes) and n = 289 > kQNC.
+  // the epilogue must wait for the last slab's flushes) and n = 289 > kQNC;
+  // 10 x 19 = 190 columns are two full 64-column segment blocks and a
+  // 62-column masked tail.
   struct Geometry {
     std::int64_t n, in_c, out_c, h, w;
   };
-  const Geometry geoms[] = {{2, 5, 11, 9, 13}, {1, 64, 13, 17, 17}};
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(3, 3);
+  const Geometry geoms[] = {
+      {2, 5, 11, 9, 13}, {1, 64, 13, 17, 17}, {1, 6, 16, 10, 19}};
   for (const Kernel& kern : kernels)
     for (const Geometry& g : geoms)
       for (const bool bias : {false, true}) {
         Rng rng(900 + kern.bits + g.in_c + bias);
         nn::Conv2d conv(g.in_c, g.out_c, 3, 1, 1, bias, rng, "fused.qconv");
-        if (kern.mode == PanelMode::kForcePattern) {
-          const Tensor mask = prune::expand_kernel_mask(
-              pats[7], conv.weight().value.shape());
-          conv.weight().value.mul_(mask);
-          conv.weight().mark_mutated();
-        }
         if (bias) testing::set_edge_bias(*conv.bias(), rng);
         qnn::LowerSpec spec;
         spec.weight_bits = kern.bits;
