@@ -116,15 +116,18 @@ echo "int4_geomean_speedup=${INT4_GEO} (>= ${INT4_GEOMEAN_FLOOR})"
 # multiplies every kernel slot) on bench_fig4's pattern-pruned backbone
 # convs, 2 of 9 taps per kernel, plus the requirement that the auto-tuner —
 # racing float, segment and int8/int4 panel cold-cache on the same pruned
-# weights — pins the segment kernel on at least one of them. On an
-# AVX-512 VNNI host the pair-table fast path measures 5.8-6.5x and the
-# generic segment path 3.6-4.0x, so the 4.5x floor fails a build that lost
-# the fast path as well as a tuner that stopped seeing the sparsity. Hosts
-# without AVX-512BW/VNNI run only the generic path (a -march=haswell kernel
-# build read 3.8-4.0x) and need UPAQ_PATTERN_GEOMEAN_FLOOR=3. A failing
+# weights — pins the segment kernel on at least one of them. Since the
+# segment kernel reads its taps in place (no im2col gather, while the int8
+# panel still gathers all nine), on an AVX-512 VNNI host the pair-table fast
+# path measures 14.3-16.1x and the generic segment path 6.0x (pair table
+# switched off in a scratch build), so the 10x floor fails a build that
+# lost the fast path as well as a tuner that stopped seeing the sparsity.
+# Hosts without AVX-512BW/VNNI run only the generic path and need a floor
+# below it (UPAQ_PATTERN_GEOMEAN_FLOOR=4.5; the generic path was last
+# measured on such a build at 3.8-4.0x before the implicit GEMM). A failing
 # attempt reruns the bench (same transient-noise policy as the ratchet
 # above); a genuine regression fails every attempt.
-PATTERN_GEOMEAN_FLOOR="${UPAQ_PATTERN_GEOMEAN_FLOOR:-4.5}"
+PATTERN_GEOMEAN_FLOOR="${UPAQ_PATTERN_GEOMEAN_FLOOR:-10}"
 echo "==> pattern-sparsity speedup gate (segment vs int8 panel, geomean floor ${PATTERN_GEOMEAN_FLOOR}x, >= 1 tuner-pinned layer)"
 PATTERN_OK=""
 for attempt in $(seq 1 "$RATCHET_ATTEMPTS"); do

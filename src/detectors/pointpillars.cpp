@@ -196,7 +196,8 @@ PointPillars::Pillars PointPillars::pillarize(const data::Scene& scene) const {
 void PointPillars::pfn_pool_scatter(const Pillars& pil,
                                     const Tensor& point_feats,
                                     std::int64_t* argmax_out,
-                                    float* pseudo_plane) const {
+                                    float* pseudo_plane,
+                                    const std::int64_t* row_start) const {
   const auto pillar_count = static_cast<std::int64_t>(pil.coords.size());
   const int maxp = cfg_.max_points_per_pillar;
   const int c = cfg_.pfn_channels;
@@ -213,14 +214,15 @@ void PointPillars::pfn_pool_scatter(const Pillars& pil,
                                                     std::int64_t p1) {
       for (std::int64_t p = p0; p < p1; ++p) {
         const int v = pil.valid_counts[static_cast<std::size_t>(p)];
+        const std::int64_t r0 = row_start != nullptr ? row_start[p] : p * maxp;
         for (int ch = 0; ch < c; ++ch) {
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_row = p * maxp;
+          std::int64_t best_row = r0;
           for (int i = 0; i < v; ++i) {
-            const float val = point_feats.at(p * maxp + i, ch);
+            const float val = point_feats.at(r0 + i, ch);
             if (val > best) {
               best = val;
-              best_row = p * maxp + i;
+              best_row = r0 + i;
             }
           }
           pooled.at(p, ch) = best;
@@ -285,15 +287,31 @@ std::vector<PointPillars::HeadOutput> PointPillars::forward_batch(
   // PFN (linear with its ReLU fused into the output store) over each
   // scene's own point rows. Running scenes separately keeps every scene's
   // embedding independent of its batch-mates: the packed linear quantizes
-  // its input with one activation scale per call.
+  // its input with one activation scale per call. Only each pillar's valid
+  // rows go in: the padding rows are all-zero, so dropping them changes
+  // neither the activation abs-max nor any code, and both the fp32 and the
+  // packed linear compute each row on its own.
   auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
+  const int maxp = cfg_.max_points_per_pillar;
   Tensor pseudo({b_count, c, g, g});
+  std::vector<std::int64_t> row_start;
   for (std::int64_t b = 0; b < b_count; ++b) {
     const Pillars& pil = *batch[static_cast<std::size_t>(b)];
     if (pil.features.dim(0) == 0) continue;  // empty scene: all-zero plane
-    const Tensor point_feats = pfn_->forward(pil.features, {.act = pfn_relu});
+    const std::size_t pillars = pil.valid_counts.size();
+    row_start.resize(pillars + 1);
+    row_start[0] = 0;
+    for (std::size_t p = 0; p < pillars; ++p)
+      row_start[p + 1] = row_start[p] + pil.valid_counts[p];
+    Tensor points({row_start[pillars], kPointFeatures});
+    for (std::size_t p = 0; p < pillars; ++p)
+      std::copy_n(pil.features.data() +
+                      static_cast<std::int64_t>(p) * maxp * kPointFeatures,
+                  pil.valid_counts[p] * kPointFeatures,
+                  points.data() + row_start[p] * kPointFeatures);
+    const Tensor point_feats = pfn_->forward(points, {.act = pfn_relu});
     pfn_pool_scatter(pil, point_feats, /*argmax_out=*/nullptr,
-                     pseudo.data() + b * c * g * g);
+                     pseudo.data() + b * c * g * g, row_start.data());
   }
 
   // Backbone + FPN-style concat + head over the batched pseudo-image. Every
@@ -314,8 +332,10 @@ std::vector<PointPillars::HeadOutput> PointPillars::forward_batch(
          .into_factor = 1 << i,
          .into_channel = static_cast<std::int64_t>(i) * cfg_.up_channels});
   const Tensor trunk = head_trunk_.forward(cat);
-  Tensor cls = cls_head_->forward(trunk);
-  Tensor reg = reg_head_->forward(trunk);
+  // Both prediction convs read the trunk: a packed engine quantizes it once.
+  nn::SharedInput trunk_share;
+  Tensor cls = cls_head_->forward(trunk, {.share = &trunk_share});
+  Tensor reg = reg_head_->forward(trunk, {.share = &trunk_share});
 
   // Slice the contiguous NCHW batch planes back into per-scene outputs.
   std::vector<HeadOutput> out(batch.size());

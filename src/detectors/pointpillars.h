@@ -154,9 +154,12 @@ class PointPillars final : public Detector3D {
   /// Shared PFN tail: masked max-pool over one scene's pillars (its point
   /// rows are `point_feats`) followed by the scatter into that scene's
   /// (C, G, G) pseudo-image plane. `argmax_out`, when non-null, receives the
-  /// per-(pillar, channel) winning row for backward.
+  /// per-(pillar, channel) winning row for backward. Pillar p's points start
+  /// at row `row_start[p]` (only its valid rows present), or at the padded
+  /// row p * max_points_per_pillar when `row_start` is null.
   void pfn_pool_scatter(const Pillars& pil, const Tensor& point_feats,
-                        std::int64_t* argmax_out, float* pseudo_plane) const;
+                        std::int64_t* argmax_out, float* pseudo_plane,
+                        const std::int64_t* row_start = nullptr) const;
 
   PointPillarsConfig cfg_;
 

@@ -96,7 +96,8 @@ Tensor Conv2d::run_forward(const Tensor& x, const Epilogue* fused) {
   // Packed integer path (upaq::qnn): inference-only, so training always
   // stays on the differentiable float route below.
   if (engine_ != nullptr && !training_) {
-    Tensor y = engine_->forward(x, &epi);
+    Tensor y = engine_->forward(
+        x, &epi, fused != nullptr ? fused->share : nullptr);
     if (fused != nullptr) return place_output(std::move(y), *fused);
     return y;
   }

@@ -22,6 +22,23 @@ namespace upaq::nn {
 class BatchNorm2d;
 class Relu;
 
+/// An input tensor in the form a packed engine computes from it (integer
+/// codes in the engine's activation layout plus one scale per batch item),
+/// shared by sibling layers that read the same input — PointPillars'
+/// head.cls / head.reg, SMOKE's hm.conv / reg.conv. The first engine to run
+/// fills it; a later one whose layout key matches reuses the codes and
+/// scales instead of quantizing the input again. The codes are a pure
+/// function of the input, so sharing never changes an output. The caller
+/// makes a fresh one for each pass and keeps the input alive and unchanged
+/// while it lives, so a later input that reuses the address is never
+/// mistaken for this one.
+struct SharedInput {
+  const float* src = nullptr;      ///< input the codes came from; null = empty
+  std::vector<std::int64_t> key;   ///< the engine's layout key
+  std::vector<std::int8_t> codes;  ///< per batch item, back to back
+  std::vector<float> scales;       ///< per batch item
+};
+
 /// Eval-mode layers fused into a Conv2d/Linear output store — the
 /// Conv -> BN -> (+residual) -> ReLU and Linear -> ReLU chains run as one
 /// call with no standalone pass over the output. Every part is optional.
@@ -38,6 +55,9 @@ struct Epilogue {
   Tensor* into = nullptr;
   int into_factor = 1;
   std::int64_t into_channel = 0;
+  /// Input side: a quantized-input memo shared with sibling layers (packed
+  /// conv engines use it; every other path ignores it).
+  SharedInput* share = nullptr;
 };
 
 /// A trainable tensor with gradient storage, an optional pruning mask, and
@@ -95,8 +115,13 @@ class ForwardEngine {
   virtual ~ForwardEngine() = default;
   /// `epi`, when non-null and active, is applied by the engine's kernel in
   /// its final output store (see gemm::Epilogue).
-  virtual Tensor forward(const Tensor& x, const gemm::Epilogue* epi) = 0;
-  Tensor forward(const Tensor& x) { return forward(x, nullptr); }
+  /// `share`, when non-null, is the caller's SharedInput for `x`.
+  virtual Tensor forward(const Tensor& x, const gemm::Epilogue* epi,
+                         SharedInput* share) = 0;
+  Tensor forward(const Tensor& x, const gemm::Epilogue* epi) {
+    return forward(x, epi, nullptr);
+  }
+  Tensor forward(const Tensor& x) { return forward(x, nullptr, nullptr); }
   virtual const char* engine_name() const = 0;
 };
 

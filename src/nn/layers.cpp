@@ -345,7 +345,8 @@ Tensor Linear::run_forward(const Tensor& x, const Epilogue* fused) {
           : gemm::Epilogue{};
   // Packed integer path (upaq::qnn): inference-only, same contract as Conv2d.
   if (engine_ != nullptr && !training_) {
-    Tensor y = engine_->forward(x, &epi);
+    Tensor y = engine_->forward(
+        x, &epi, fused != nullptr ? fused->share : nullptr);
     if (fused != nullptr) return place_output(std::move(y), *fused);
     return y;
   }

@@ -160,16 +160,19 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
 
     // Integer candidates, built through the PanelCache with forced modes so
     // the winner's packed image is already cached when lowering attaches the
-    // engine. Per forward the packed path quantizes the input map to int8
-    // and (for k>1 convs) gathers int8 codes; both ride inside the timed
-    // body so the float-vs-int ranking matches the end-to-end layer cost.
+    // engine. Per forward the panel paths quantize the input map to int8 and
+    // (for k>1 convs) gather int8 codes; both ride inside the timed body so
+    // the float-vs-int ranking matches the end-to-end layer cost.
     std::vector<std::int8_t> map_codes(static_cast<std::size_t>(map_n));
     std::vector<std::int8_t> qx_src(expand > 1 ? qx
                                                : std::vector<std::int8_t>());
-    const auto time_int = [&](TunedKernel tk) {
-      auto g = PanelCache::instance().get_or_build(
+    const auto build = [&](TunedKernel tk) {
+      return PanelCache::instance().get_or_build(
           w, rows, k, spec.weight_bits, spec.group_size, spec.format,
           tuned_mode(tk));
+    };
+    const auto time_panel = [&](TunedKernel tk) {
+      const auto g = build(tk);
       const std::uint64_t ns = time_min([&] {
         (void)gemm::s8_quantize(map.data(), map_n, spec.act_bits,
                                 map_codes.data());
@@ -180,9 +183,38 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
       });
       d.candidates.push_back({tk, ns});
     };
-    time_int(TunedKernel::kSegment);
-    if (spec.weight_bits <= 8) time_int(TunedKernel::kInt8Panel);
-    if (spec.weight_bits <= 4) time_int(TunedKernel::kInt4Panel);
+    // The segment kernel reads a conv's taps in place: it quantizes the map
+    // straight into the tap layout and runs the implicit GEMM over it. The
+    // proxy conv has the kernel sqrt(expand), same padding, stride 1 and a
+    // near-square output of exactly cn columns; a weight that is no such
+    // conv times the explicit matrix (the 1x1 / Linear case).
+    {
+      const auto g = build(TunedKernel::kSegment);
+      int kk = 1;
+      while ((kk + 1) * (kk + 1) <= expand) ++kk;
+      const bool conv = expand > 1 && kk * kk == expand && k % expand == 0;
+      std::int64_t ow = 1;
+      for (std::int64_t d0 = 1; d0 * d0 <= cn; ++d0)
+        if (cn % d0 == 0) ow = d0;
+      const gemm::TapLayout t =
+          conv ? gemm::tap_layout(k / expand, cn / ow, ow, kk, 1, (kk - 1) / 2)
+               : gemm::tap_layout(k, 1, cn, 1, 1, 0);
+      std::vector<float> tap_map(static_cast<std::size_t>(t.c * t.h * t.w));
+      for (std::size_t i = 0; i < tap_map.size(); ++i)
+        tap_map[i] = map[i % map.size()];
+      std::vector<std::int8_t> layout(static_cast<std::size_t>(t.bytes()));
+      std::vector<std::int64_t> off(static_cast<std::size_t>(t.taps()));
+      gemm::s8_tap_offsets(t, off.data());
+      const std::uint64_t ns = time_min([&] {
+        const float sx = gemm::s8_quantize_taps(tap_map.data(), t,
+                                                spec.act_bits, layout.data());
+        g->run_taps(gemm::s8_layout_taps(t, layout.data(), off.data()), sx,
+                    nullptr, y.data());
+      });
+      d.candidates.push_back({TunedKernel::kSegment, ns});
+    }
+    if (spec.weight_bits <= 8) time_panel(TunedKernel::kInt8Panel);
+    if (spec.weight_bits <= 4) time_panel(TunedKernel::kInt4Panel);
   }
   if (!thrash.empty()) sink ^= thrash[thrash.size() / 2];
   volatile std::uint64_t sink_out = sink;  // observable: loops survive DCE

@@ -107,10 +107,12 @@ struct TuneOptions {
 /// AROUND the GEMM, not just the GEMM itself — otherwise the ranking
 /// contradicts what the end-to-end layer actually runs. Without a runner the
 /// built-in bodies approximate that work (the float path's weight
-/// fingerprint + a flat column gather, the packed path's activation
-/// quantization + code copy); `im2col_expand` is the conv's kernel*kernel
-/// (1 for 1x1 and Linear, where the packed path skips the gather entirely)
-/// and sizes the quantized input map at ~k*n/im2col_expand elements. Callers
+/// fingerprint + a flat column gather; the panel paths' activation
+/// quantization + code copy; the segment path's quantization straight into
+/// a conv tap layout + the implicit GEMM over it, with no gather);
+/// `im2col_expand` is the conv's kernel*kernel (1 for 1x1 and Linear, where
+/// no packed path gathers) and sizes the quantized input map at
+/// ~k*n/im2col_expand elements. Callers
 /// that hold the real layer (core::lower_quantized_tuned) pass a
 /// CandidateRunner instead, which replaces the bodies with real forwards.
 TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,

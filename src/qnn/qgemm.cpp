@@ -8,6 +8,7 @@
 #include "prof/prof.h"
 #include "tensor/check.h"
 #include "tensor/gemm_kernel.h"
+#include "tensor/workspace.h"
 
 namespace upaq::qnn {
 
@@ -46,6 +47,14 @@ float quantize_acts_into(const float* src, std::int64_t n, int bits,
   // codes (a libm std::round per element here dominated the packed path
   // once; a scalar abs-max/convert at this TU's -O2 was next).
   return gemm::s8_quantize(src, n, bits, dst);
+}
+
+float quantize_taps_into(const float* src, const gemm::TapLayout& t,
+                         int bits, std::int8_t* dst) {
+  UPAQ_CHECK(bits >= 2 && bits <= 8, "quantize_acts: bits must be in [2, 8], got " +
+                                         std::to_string(bits));
+  prof::add(prof::Counter::kActQuantCalls, 1);
+  return gemm::s8_quantize_taps(src, t, bits, dst);
 }
 
 Tensor dequantize_acts(const QuantizedActs& acts) {
@@ -213,41 +222,54 @@ void PackedGemm::run(const QuantizedActs& x, const float* bias,
 void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
                      const float* bias, float* py,
                      const gemm::Epilogue* epi) const {
+  if (!panel_active()) {
+    workspace::Scope ws;
+    run_taps(gemm::s8_matrix_taps(qx, k_, n, ws.i64(k_)), sx, bias, py, epi);
+    return;
+  }
+  count_run(n);
+  // Bias prefill mirrors the segment path's per-row fill; the panel kernel
+  // then requantizes into it with the same per-element operation order, so
+  // the paths are bitwise identical (tests/test_qgemm_kernel.cpp).
+  auto fill = [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      float* yrow = py + r * n;
+      std::fill(yrow, yrow + n, bias != nullptr ? bias[r] : 0.0f);
+    }
+  };
+  if (rows_ * n < kMinParallelWork) {
+    fill(0, rows_);
+  } else {
+    parallel::parallel_for(0, rows_, kRowGrain, fill);
+  }
+  if (!panel4_.empty()) {
+    gemm::q4_gemm_panel(panel4_, qx, sx, n, py, epi);
+  } else {
+    gemm::q8_gemm_panel(panel_, qx, sx, n, py, epi);
+  }
+}
+
+void PackedGemm::run_taps(const gemm::QTaps& x, float sx, const float* bias,
+                          float* py, const gemm::Epilogue* epi) const {
+  UPAQ_CHECK(!panel_active(),
+             "PackedGemm::run_taps: only the segment kernel reads taps");
+  count_run(x.n);
+  // Entry-skipping segment sweep, hosted wholesale in the -march=native
+  // kernel TU (the -O2 loops that used to sit here were the whole packed-path
+  // regression). Per output element the operation sequence (bias, then
+  // segments in order) is a pure function of the entry layout, never of the
+  // thread count, blocking or the activation layout.
+  gemm::s8_gemm_segments(cols_.data(), codes_.data(), segs_.data(),
+                         row_segs_.data(), rows_, k_, x, sx, bias, py,
+                         pairs_.empty() ? nullptr : &pairs_, epi);
+}
+
+void PackedGemm::count_run(std::int64_t n) const {
   prof::add(prof::Counter::kPackedSegments,
             static_cast<std::uint64_t>(segs_.size()));
   prof::add(prof::Counter::kQgemmMacs,
             static_cast<std::uint64_t>(entry_count()) *
                 static_cast<std::uint64_t>(n));
-  if (panel_active()) {
-    // Bias prefill mirrors the segment path's per-row fill; the panel kernel
-    // then requantizes into it with the same per-element operation order, so
-    // the paths are bitwise identical (tests/test_qgemm_kernel.cpp).
-    auto fill = [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        float* yrow = py + r * n;
-        std::fill(yrow, yrow + n, bias != nullptr ? bias[r] : 0.0f);
-      }
-    };
-    if (rows_ * n < kMinParallelWork) {
-      fill(0, rows_);
-    } else {
-      parallel::parallel_for(0, rows_, kRowGrain, fill);
-    }
-    if (!panel4_.empty()) {
-      gemm::q4_gemm_panel(panel4_, qx, sx, n, py, epi);
-    } else {
-      gemm::q8_gemm_panel(panel_, qx, sx, n, py, epi);
-    }
-    return;
-  }
-  // Entry-skipping segment sweep, hosted wholesale in the -march=native
-  // kernel TU (the -O2 loops that used to sit here were the whole packed-path
-  // regression). Per output element the operation sequence (bias, then
-  // segments in order) is a pure function of the entry layout, never of the
-  // thread count or blocking.
-  gemm::s8_gemm_segments(cols_.data(), codes_.data(), segs_.data(),
-                         row_segs_.data(), rows_, k_, qx, sx, n, bias, py,
-                         pairs_.empty() ? nullptr : &pairs_, epi);
 }
 
 void PackedGemm::run_t(const QuantizedActs& x, const float* bias,

@@ -53,6 +53,12 @@ QuantizedActs quantize_acts(const float* src, std::int64_t rows,
 float quantize_acts_into(const float* src, std::int64_t count, int bits,
                          std::int8_t* dst);
 
+/// quantize_acts_into of one (t.c, t.h, t.w) conv input map, written
+/// straight into its tap layout (gemm::TapLayout, t.bytes() codes): the
+/// same scale and the same code per element, every border position code 0.
+float quantize_taps_into(const float* src, const gemm::TapLayout& t,
+                         int bits, std::int8_t* dst);
+
 /// Exact float image of the activation codes (for the equivalence tests'
 /// fake-quant reference path).
 Tensor dequantize_acts(const QuantizedActs& acts);
@@ -97,6 +103,14 @@ class PackedGemm {
            const float* bias, float* out,
            const gemm::Epilogue* epi = nullptr) const;
 
+  /// Implicit-GEMM variant of the segment kernel (kernel_kind() must be
+  /// kSegment): activations are read in place through `x` — a conv's tap
+  /// layout (gemm::TapLayout) or any other gemm::QTaps — and `out` is the
+  /// (rows, x.n) output. Bitwise what run() gives on the same values
+  /// gathered into an explicit column matrix.
+  void run_taps(const gemm::QTaps& x, float act_scale, const float* bias,
+                float* out, const gemm::Epilogue* epi = nullptr) const;
+
   /// Transposed-activation variant for Linear: x laid out (n, k) row-major
   /// (one activation row per batch item), out(n, rows).
   void run_t(const QuantizedActs& x, const float* bias, Tensor& out) const;
@@ -132,6 +146,8 @@ class PackedGemm {
   using Segment = gemm::QSegment;
 
   void build_panel(std::int64_t group, bool four);
+  /// prof counters of one run over n output columns.
+  void count_run(std::int64_t n) const;
 
   std::vector<std::int32_t> cols_;   ///< per entry: column index in [0, k)
   std::vector<std::int32_t> codes_;  ///< per entry: weight code (never 0)

@@ -12,30 +12,6 @@
 
 namespace upaq::qnn {
 
-namespace {
-
-// im2col over already-quantized activation codes: the conv input map is
-// quantized once (C*H*W elements) and the column matrix gathers int8 codes,
-// instead of gathering floats and quantizing the K*K-times-larger column
-// matrix. Padding becomes code 0 — exactly what quantizing a padded float
-// zero yields — and every input value appears in the column matrix, so the
-// per-tensor scale (and therefore every code) is identical either way.
-// Writes into caller-provided scratch (the workspace arena) so the
-// steady-state packed-conv loop never touches the heap.
-void im2col_codes_into(const std::int8_t* in, std::int64_t c, std::int64_t h,
-                       std::int64_t w, int k, int stride, int pad,
-                       std::int8_t* out) {
-  const std::int64_t oh = ops::conv_out_size(h, k, stride, pad);
-  const std::int64_t ow = ops::conv_out_size(w, k, stride, pad);
-  prof::add(prof::Counter::kIm2colBytes,
-            static_cast<std::uint64_t>(c * k * k * oh * ow));
-  // The gather itself (pure byte moves, interior rows collapse to memcpy)
-  // lives in the kernel TU for its codegen.
-  gemm::s8_im2col(in, c, h, w, k, stride, pad, oh, ow, out);
-}
-
-}  // namespace
-
 PackedConv2d::PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec)
     : in_c_(conv.in_channels()),
       out_c_(conv.out_channels()),
@@ -60,7 +36,8 @@ void PackedConv2d::refresh() {
   packed_version_ = weight_->version;
 }
 
-Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi) {
+Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi,
+                             nn::SharedInput* share) {
   prof::Span span(engine_name());
   // Staleness check runs serially, before the batch fan-out: a weight
   // mutated after lowering repacks exactly once through the cache.
@@ -71,15 +48,49 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi) {
   const std::int64_t oh = ops::conv_out_size(h, kernel_, stride_, pad_);
   const std::int64_t ow = ops::conv_out_size(w, kernel_, stride_, pad_);
   Tensor out({n, out_c_, oh, ow});
+  if (oh <= 0 || ow <= 0) return out;
   const float* bias = bias_.empty() ? nullptr : bias_.data();
+  // The input map is quantized once per item, straight into the layout the
+  // kernel reads. The segment kernel reads every tap in place from the tap
+  // layout (gemm::TapLayout: the zero-bordered map's stride phases, one
+  // plane per tap column) — an implicit GEMM with no column matrix. The
+  // panel kernels take an explicit (k, n) column matrix as their B-slab
+  // input, gathered from the flat quantized map (a 1x1 conv's flat map is
+  // that matrix already). Either way the scale and every code are what
+  // quantizing the column matrix would give (same value multiset; padding is
+  // code 0), and the integer GEMM is exact, so every layout gives the same
+  // bits.
+  const bool implicit =
+      gemm_->kernel_kind() == PackedGemm::KernelKind::kSegment;
+  const bool gather =
+      !implicit && !(kernel_ == 1 && stride_ == 1 && pad_ == 0);
+  // The layout the codes live in: the flat map is the 1x1 layout.
+  const gemm::TapLayout t =
+      implicit ? gemm::tap_layout(in_c_, h, w, kernel_, stride_, pad_)
+               : gemm::tap_layout(in_c_, h, w, 1, 1, 0);
+  const std::int64_t item_bytes = t.bytes();
+  std::vector<std::int64_t> key;  // built only when there is a share
+  bool reuse = false;
+  if (share != nullptr) {
+    key = {t.c, t.h, t.w, t.k, t.stride, t.pad, act_bits_, n};
+    reuse = share->src == x.data() && share->key == key;
+    if (!reuse) {
+      share->src = nullptr;
+      share->codes.resize(static_cast<std::size_t>(n * item_bytes));
+      share->scales.resize(static_cast<std::size_t>(n));
+    }
+  }
+  // One offset table per call, shared by every item.
+  workspace::Scope table_ws;
+  std::int64_t* off = nullptr;
+  if (implicit) {
+    off = table_ws.i64(t.taps());
+    gemm::s8_tap_offsets(t, off);
+  }
   // Batch items write disjoint output slices (same decomposition as the
-  // float Conv2d); the integer GEMM inside is exact, so the whole path is
-  // bitwise deterministic at any thread count. The input map is quantized
-  // BEFORE im2col — K*K times less quantization work, and the gather moves
-  // int8 instead of float — which yields the same scale and codes as
-  // quantizing the column matrix (same value multiset). The GEMM writes
-  // straight into the output slice with bias fused into its initial fill and
-  // the epilogue (if any) into its final store.
+  // float Conv2d); the GEMM writes straight into the output slice with bias
+  // fused into its initial fill and the epilogue (if any) into its final
+  // store.
   parallel::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
       workspace::Scope ws;
@@ -91,28 +102,45 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi) {
         if (epi->skip != nullptr) item_epi.skip += b * out_c_ * oh * ow;
       }
       const gemm::Epilogue* ep = epi != nullptr ? &item_epi : nullptr;
-      std::int8_t* qcodes = ws.i8(in_c_ * h * w);
+      std::int8_t* qcodes = share != nullptr
+                                ? share->codes.data() + b * item_bytes
+                                : ws.i8(item_bytes);
       float sx;
-      {
+      if (reuse) {
+        sx = share->scales[static_cast<std::size_t>(b)];
+      } else {
         prof::Span qspan("qnn.quant_acts");
-        sx = quantize_acts_into(xs, in_c_ * h * w, act_bits_, qcodes);
+        sx = implicit ? quantize_taps_into(xs, t, act_bits_, qcodes)
+                      : quantize_acts_into(xs, in_c_ * h * w, act_bits_,
+                                           qcodes);
+        if (share != nullptr) share->scales[static_cast<std::size_t>(b)] = sx;
       }
-      if (kernel_ == 1 && stride_ == 1 && pad_ == 0) {
-        // 1x1 conv: the column matrix IS the quantized map; no gather.
+      if (implicit) {
+        prof::Span gspan("qnn.qgemm");
+        gemm_->run_taps(gemm::s8_layout_taps(t, qcodes, off), sx, bias, ys,
+                        ep);
+      } else if (!gather) {
         prof::Span gspan("qnn.qgemm");
         gemm_->run(qcodes, sx, oh * ow, bias, ys, ep);
       } else {
-        std::int8_t* cols =
-            ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);
+        std::int8_t* cols = ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);
         {
           prof::Span ispan("qnn.im2col");
-          im2col_codes_into(qcodes, in_c_, h, w, kernel_, stride_, pad_, cols);
+          prof::add(prof::Counter::kIm2colBytes,
+                    static_cast<std::uint64_t>(in_c_ * kernel_ * kernel_ *
+                                               oh * ow));
+          gemm::s8_im2col(qcodes, in_c_, h, w, kernel_, stride_, pad_, oh, ow,
+                          cols);
         }
         prof::Span gspan("qnn.qgemm");
         gemm_->run(cols, sx, oh * ow, bias, ys, ep);
       }
     }
   });
+  if (share != nullptr && !reuse) {
+    share->src = x.data();
+    share->key = key;
+  }
   return out;
 }
 
@@ -137,7 +165,8 @@ void PackedLinear::refresh() {
   packed_version_ = weight_->version;
 }
 
-Tensor PackedLinear::forward(const Tensor& x, const gemm::Epilogue* epi) {
+Tensor PackedLinear::forward(const Tensor& x, const gemm::Epilogue* epi,
+                             nn::SharedInput* /*share*/) {
   prof::Span span(engine_name());
   if (weight_->version != packed_version_) refresh();
   UPAQ_CHECK(x.rank() == 2 && x.dim(1) == in_f_,

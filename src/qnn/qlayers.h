@@ -1,8 +1,10 @@
 // Packed-execution engines for Conv2d and Linear, attachable through the
-// nn::ForwardEngine hook: eval-mode forward runs im2col + the integer
-// PackedGemm instead of the float path, with activations quantized to int8
-// on entry and requantized to float on exit. Training always stays on the
-// float fake-quant path (the engines are inference-only).
+// nn::ForwardEngine hook: eval-mode forward runs the integer PackedGemm
+// (an implicit GEMM over the quantized map on the segment kernel, im2col +
+// panel GEMM otherwise) instead of the float path, with activations
+// quantized to int8 on entry and requantized to float on exit. Training
+// always stays on the float fake-quant path (the engines are
+// inference-only).
 #pragma once
 
 #include <memory>
@@ -35,7 +37,10 @@ class PackedConv2d final : public nn::ForwardEngine {
   PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec);
 
   using nn::ForwardEngine::forward;
-  Tensor forward(const Tensor& x, const gemm::Epilogue* epi) override;
+  /// `share` (see nn::SharedInput) lets sibling convs over the same input
+  /// quantize it once.
+  Tensor forward(const Tensor& x, const gemm::Epilogue* epi,
+                 nn::SharedInput* share) override;
   const char* engine_name() const override { return "qnn.packed_conv2d"; }
 
   const PackedGemm& gemm() const { return *gemm_; }
@@ -59,7 +64,8 @@ class PackedLinear final : public nn::ForwardEngine {
   PackedLinear(const nn::Linear& linear, const LowerSpec& spec);
 
   using nn::ForwardEngine::forward;
-  Tensor forward(const Tensor& x, const gemm::Epilogue* epi) override;
+  Tensor forward(const Tensor& x, const gemm::Epilogue* epi,
+                 nn::SharedInput* share) override;
   const char* engine_name() const override { return "qnn.packed_linear"; }
 
   const PackedGemm& gemm() const { return *gemm_; }

@@ -399,11 +399,11 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
 
 void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
                            std::int64_t len, const std::int8_t* qx,
-                           std::int64_t ldq, std::int64_t j0, std::int64_t nb,
-                           std::int32_t* acc) {
+                           const std::int64_t* off, std::int64_t j0,
+                           std::int64_t nb, std::int32_t* acc) {
   for (std::int64_t e = 0; e < len; ++e) {
     const std::int32_t w = codes[e];
-    const std::int8_t* brow = qx + static_cast<std::int64_t>(cols[e]) * ldq + j0;
+    const std::int8_t* brow = qx + off[cols[e]] + j0;
     for (std::int64_t j = 0; j < nb; ++j)
       acc[j] += w * static_cast<std::int32_t>(brow[j]);
   }
@@ -440,18 +440,17 @@ inline v8si load_i8x8_as_i32(const std::int8_t* p) {
 #endif
 
 void s8_fused_segment(const std::int32_t* cols, const std::int32_t* codes,
-                      std::int64_t len, const std::int8_t* qx, std::int64_t ldq,
-                      std::int64_t j0, std::int64_t nb, float m, float* yb) {
+                      std::int64_t len, const std::int8_t* qx,
+                      const std::int64_t* off, std::int64_t j0,
+                      std::int64_t nb, float m, float* yb) {
   // Weight codes can be up to 16 bits here, so the products use int32 math
   // (the int16 pair trick is reserved for the <= 8-bit panel micro-kernel).
   const std::int32_t w0 = codes[0];
-  const std::int8_t* b0 = qx + static_cast<std::int64_t>(cols[0]) * ldq + j0;
+  const std::int8_t* b0 = qx + off[cols[0]] + j0;
   const std::int32_t w1 = len > 1 ? codes[1] : 0;
-  const std::int8_t* b1 =
-      len > 1 ? qx + static_cast<std::int64_t>(cols[1]) * ldq + j0 : b0;
+  const std::int8_t* b1 = len > 1 ? qx + off[cols[1]] + j0 : b0;
   const std::int32_t w2 = len > 2 ? codes[2] : 0;
-  const std::int8_t* b2 =
-      len > 2 ? qx + static_cast<std::int64_t>(cols[2]) * ldq + j0 : b0;
+  const std::int8_t* b2 = len > 2 ? qx + off[cols[2]] + j0 : b0;
   std::int64_t j = 0;
 #ifdef UPAQ_S8_VEC
   for (; j + 8 <= nb; j += 8) {
@@ -605,30 +604,30 @@ inline __m512 epi16(const Epilogue& e, const EpiVec16& c, __m512 v,
 }
 
 /// One (row, 64-column) output block of the segment GEMM over the pair
-/// table; `nb` (< 64 only when kTail) columns are live. Four zmm float
-/// accumulators hold the block across ALL of the row's segments (bias fill
-/// in registers, one store at the end). Per pair, the two activation rows
-/// are flipped to unsigned bytes (x ^ 0x80 = x + 128) and byte-interleaved,
-/// so 32-bit lane d of 128-bit lane L of `lo` holds columns 16L+2d and
-/// 16L+2d+1 of both rows (`hi`: the same 8 columns on); vpdpbusd against the
-/// even word (w0, w1, 0, 0) sums the first column, against the odd word
+/// table; `nb` (< 64 only when kTail) columns are live, read through
+/// qb = qx + j0 and the QTaps row offsets. Four zmm float accumulators hold
+/// the block across ALL of the row's segments (bias fill in registers, one
+/// store at the end). Per pair, the two activation rows are flipped to
+/// unsigned bytes (x ^ 0x80 = x + 128) and byte-interleaved, so 32-bit lane d
+/// of 128-bit lane L of `lo` holds columns 16L+2d and 16L+2d+1 of both rows
+/// (`hi`: the same 8 columns on); vpdpbusd against the even word
+/// (w0, w1, 0, 0) sums the first column, against the odd word
 /// (0, 0, w0, w1) = even << 16 the second. A segment's int32 sums start at
-/// its -128 * sum(w) correction, so each lane ends at exactly sum(w * x): every
-/// term is exact, the int32 adds wrap mod 2^32, and the true sum fits int32
-/// (PackedGemm caps segment length). The per-element float sequence (bias,
-/// then one pinned mul+add per segment in ascending order) is the generic
-/// path's; the column permutation is undone once, before the epilogue.
+/// its -128 * sum(w) correction, so each lane ends at exactly sum(w * x):
+/// every term is exact, the int32 adds wrap mod 2^32, and the true sum fits
+/// int32 (PackedGemm caps segment length). The per-element float sequence
+/// (bias, then one pinned mul+add per segment in ascending order) is the
+/// generic path's; the column permutation is undone once, before the
+/// epilogue.
 template <bool kTail>
 void s8_row_block64(const QSegment* segs, const QPairTable& pt,
-                    std::int64_t s0, std::int64_t s1,
-                    const std::int8_t* qx, float sx, std::int64_t n,
-                    std::int64_t j0, std::int64_t nb, float bias_v, float* yb,
-                    const Epilogue* epi, const EpiVec16& ev,
-                    const float* skip) {
+                    std::int64_t s0, std::int64_t s1, const std::int8_t* qb,
+                    const std::int64_t* off, float sx, std::int64_t nb,
+                    float bias_v, float* yb, const Epilogue* epi,
+                    const EpiVec16& ev, const float* skip) {
   const std::uint64_t live = kTail ? (std::uint64_t{1} << nb) - 1 : ~0ull;
   const __mmask64 lm = _cvtu64_mask64(live);
   const __m512i flip = _mm512_set1_epi8(static_cast<char>(0x80));
-  const std::int8_t* qb = qx + j0;
   __m512 y0 = _mm512_set1_ps(bias_v);
   __m512 y1 = y0, y2 = y0, y3 = y0;
   const QPair* pr = pt.pairs.data() + pt.seg_pairs[s0];
@@ -637,8 +636,8 @@ void s8_row_block64(const QSegment* segs, const QPairTable& pt,
     __m512i a0 = c, a1 = c, a2 = c, a3 = c;
     const QPair* pend = pt.pairs.data() + pt.seg_pairs[si + 1];
     for (; pr < pend; ++pr) {
-      const std::int8_t* p0 = qb + static_cast<std::int64_t>(pr->col0) * n;
-      const std::int8_t* p1 = qb + static_cast<std::int64_t>(pr->col1) * n;
+      const std::int8_t* p0 = qb + off[pr->col0];
+      const std::int8_t* p1 = qb + off[pr->col1];
       __m512i r0, r1;
       if constexpr (kTail) {
         r0 = _mm512_maskz_loadu_epi8(lm, p0);
@@ -690,12 +689,50 @@ bool s8_pair_kernel() {
 #endif
 }
 
+QTaps s8_matrix_taps(const std::int8_t* qx, std::int64_t k, std::int64_t n,
+                     std::int64_t* off) {
+  for (std::int64_t r = 0; r < k; ++r) off[r] = r * n;
+  return {qx, off, n};
+}
+
+TapLayout tap_layout(std::int64_t c, std::int64_t h, std::int64_t w, int k,
+                     int stride, int pad) {
+  TapLayout t;
+  t.c = c;
+  t.h = h;
+  t.w = w;
+  t.k = k;
+  t.stride = stride;
+  t.pad = pad;
+  const std::int64_t hp = h + 2 * pad, wp = w + 2 * pad;
+  t.oh = hp >= k ? (hp - k) / stride + 1 : 0;
+  t.ow = wp >= k ? (wp - k) / stride + 1 : 0;
+  t.phases = std::min(stride, k);
+  t.hq = (hp + stride - 1) / stride;
+  return t;
+}
+
+void s8_tap_offsets(const TapLayout& t, std::int64_t* off) {
+  const std::int64_t s = t.stride, plane = t.hq * t.ow;
+  for (std::int64_t ch = 0; ch < t.c; ++ch)
+    for (int ky = 0; ky < t.k; ++ky)
+      for (int kx = 0; kx < t.k; ++kx)
+        *off++ = ((ch * t.phases + ky % s) * t.k + kx) * plane +
+                 (ky / s) * t.ow;
+}
+
+QTaps s8_layout_taps(const TapLayout& t, const std::int8_t* qx,
+                     const std::int64_t* off) {
+  return {qx, off, t.cols()};
+}
+
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
-                      std::int64_t rows, std::int64_t k, const std::int8_t* qx,
-                      float sx, std::int64_t n, const float* bias, float* y,
+                      std::int64_t rows, std::int64_t k, const QTaps& x,
+                      float sx, const float* bias, float* y,
                       const QPairTable* pairs, const Epilogue* epi) {
   if (epi != nullptr && !epi->active()) epi = nullptr;
+  const std::int64_t n = x.n;
 #if defined(UPAQ_S8_AVX512)
   if (pairs != nullptr) {
     constexpr std::int64_t kRowGrainI8 = 8;
@@ -711,12 +748,12 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
         std::int64_t j0 = 0;
         for (; j0 + 64 <= n; j0 += 64)
           s8_row_block64<false>(segs, *pairs, row_segs[r], row_segs[r + 1],
-                                qx, sx, n, j0, 64, bv, yrow + j0, epi, ev,
-                                srow + j0);
+                                x.qx + j0, x.off, sx, 64, bv, yrow + j0, epi,
+                                ev, srow + j0);
         if (j0 < n)
           s8_row_block64<true>(segs, *pairs, row_segs[r], row_segs[r + 1],
-                               qx, sx, n, j0, n - j0, bv, yrow + j0, epi, ev,
-                               srow + j0);
+                               x.qx + j0, x.off, sx, n - j0, bv, yrow + j0,
+                               epi, ev, srow + j0);
       }
     };
     if (rows * k * n < kMinParallelWork) {
@@ -756,10 +793,10 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
           // almost every segment is tiny: the fused kernels fold the integer
           // sum and the requantization into one pass over the columns.
           if (len <= 3) {
-            s8_fused_segment(cc, wc, len, qx, n, j0, nb, m, yb);
+            s8_fused_segment(cc, wc, len, x.qx, x.off, j0, nb, m, yb);
           } else {
             std::fill(iacc, iacc + nb, 0);
-            s8_segment_accumulate(cc, wc, len, qx, n, j0, nb, iacc);
+            s8_segment_accumulate(cc, wc, len, x.qx, x.off, j0, nb, iacc);
             s8_requant_add(iacc, nb, m, yb);
           }
         }
@@ -1501,11 +1538,23 @@ float abs_max_range(const float* src, std::int64_t i0, std::int64_t i1) {
 #if defined(UPAQ_S8_VEC) && defined(__AVX2__)
   // GCC will not vectorize float max reductions without -ffast-math, so
   // spell out the lanes (the reduction is exact either way).
+  // Four accumulators keep four max chains in flight.
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   __m256 acc = _mm256_setzero_ps();
+  __m256 acc1 = acc, acc2 = acc, acc3 = acc;
   std::int64_t i = i0;
+  for (; i + 32 <= i1; i += 32) {
+    acc = _mm256_max_ps(acc, _mm256_and_ps(absmask, _mm256_loadu_ps(src + i)));
+    acc1 = _mm256_max_ps(
+        acc1, _mm256_and_ps(absmask, _mm256_loadu_ps(src + i + 8)));
+    acc2 = _mm256_max_ps(
+        acc2, _mm256_and_ps(absmask, _mm256_loadu_ps(src + i + 16)));
+    acc3 = _mm256_max_ps(
+        acc3, _mm256_and_ps(absmask, _mm256_loadu_ps(src + i + 24)));
+  }
   for (; i + 8 <= i1; i += 8)
     acc = _mm256_max_ps(acc, _mm256_and_ps(absmask, _mm256_loadu_ps(src + i)));
+  acc = _mm256_max_ps(_mm256_max_ps(acc, acc1), _mm256_max_ps(acc2, acc3));
   alignas(32) float lanes[8];
   _mm256_store_ps(lanes, acc);
   for (float l : lanes) a = std::max(a, l);
@@ -1516,81 +1565,347 @@ float abs_max_range(const float* src, std::int64_t i0, std::int64_t i1) {
   return a;
 }
 
+// Activation quantization fans out over the pool only for maps of at least
+// kQuantParallelMin elements, in kQuantChunk-element chunks. Measured on a
+// 4-vCPU AVX-512 host (serial vs pool, 2 and 4 lanes): 2 lanes never beat
+// serial up to 393k elements, 4 lanes start to at 131k, and every shipped
+// PointPillars map (<= 74k) and all but one SMOKE map stay well below. The
+// split is by element count only, so the codes never depend on it.
+constexpr std::int64_t kQuantParallelMin = 1 << 18;
+constexpr std::int64_t kQuantChunk = 1 << 15;
+
+/// Abs-max of a whole map: serial below kQuantParallelMin elements, else
+/// per-chunk maxima (scratch from the workspace arena) combined in chunk
+/// order — max is exact, so the value never depends on the split.
+float abs_max(const float* src, std::int64_t n) {
+  if (n < kQuantParallelMin) return abs_max_range(src, 0, n);
+  const std::int64_t chunks = (n + kQuantChunk - 1) / kQuantChunk;
+  workspace::Scope ws;
+  float* partial = ws.floats(chunks);
+  parallel::parallel_for(0, n, kQuantChunk,
+                         [&](std::int64_t i0, std::int64_t i1) {
+                           partial[i0 / kQuantChunk] =
+                               abs_max_range(src, i0, i1);
+                         });
+  float alpha = 0.0f;
+  for (std::int64_t i = 0; i < chunks; ++i) alpha = std::max(alpha, partial[i]);
+  return alpha;
+}
+
+/// The symmetric grid of one map: scale, its reciprocal and the clamp bound.
+struct QuantGrid {
+  float scale = 1.0f, inv = 1.0f, maxv = 0.0f;
+};
+
+QuantGrid quant_grid(float alpha, int bits) {
+  const double max_value = std::pow(2.0, bits - 1) - 1.0;
+  QuantGrid g;
+  g.scale = static_cast<float>(alpha / max_value);
+  g.inv = 1.0f / g.scale;
+  g.maxv = static_cast<float>(max_value);
+  return g;
+}
+
+/// One element of the quantization: multiply, clamp, round half away from
+/// zero via a truncating cast (copysign keeps it branch-free). Clamping
+/// first bounds the value, so the cast is exact. Every vector form below
+/// spells out this same sequence per lane.
+inline std::int8_t quantize1(float x, const QuantGrid& g) {
+  float v = x * g.inv;
+  v = std::min(std::max(v, -g.maxv), g.maxv);
+  return static_cast<std::int8_t>(
+      static_cast<std::int32_t>(v + std::copysign(0.5f, v)));
+}
+
+#if defined(UPAQ_S8_AVX512)
+// The GCC 12 pass-through seeding of the 512-bit intrinsics again (see the
+// segment block's wrappers).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// quantize1 on 16 lanes; the clamp bounds every lane inside int8 range, so
+/// the truncating narrow to bytes is exact.
+inline __m128i quantize16(__m512 x, const QuantGrid& g) {
+  __m512 v = _mm512_mul_ps(x, _mm512_set1_ps(g.inv));
+  v = _mm512_min_ps(_mm512_max_ps(v, _mm512_set1_ps(-g.maxv)),
+                    _mm512_set1_ps(g.maxv));
+  const __m512i sign = _mm512_and_si512(
+      _mm512_castps_si512(v),
+      _mm512_set1_epi32(static_cast<std::int32_t>(0x80000000u)));
+  const __m512 h = _mm512_castsi512_ps(
+      _mm512_or_si512(sign, _mm512_castps_si512(_mm512_set1_ps(0.5f))));
+  return _mm512_cvtepi32_epi8(_mm512_cvttps_epi32(_mm512_add_ps(v, h)));
+}
+
+/// The low `lanes` bits (none for lanes <= 0, all 16 from 16 on).
+inline __mmask16 low_mask16(std::int64_t lanes) {
+  if (lanes <= 0) return _cvtu32_mask16(0);
+  return _cvtu32_mask16(lanes >= 16 ? 0xFFFFu : (1u << lanes) - 1u);
+}
+#pragma GCC diagnostic pop
+#endif
+
+/// Quantizes `count` contiguous floats. Each element is converted on its
+/// own — the codes cannot depend on where a range starts, the vector width
+/// or the thread count.
+void convert_range(const float* src, std::int64_t count, const QuantGrid& g,
+                   std::int8_t* dst) {
+  std::int64_t i = 0;
+#if defined(UPAQ_S8_AVX512)
+  for (; i + 16 <= count; i += 16)
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     quantize16(_mm512_loadu_ps(src + i), g));
+  if (i < count) {  // masked tail: the dead lanes load nothing, store nothing
+    const __mmask16 m = low_mask16(count - i);
+    _mm_mask_storeu_epi8(dst + i, m,
+                         quantize16(_mm512_maskz_loadu_ps(m, src + i), g));
+  }
+  return;
+#elif defined(UPAQ_S8_VEC) && defined(__AVX2__)
+  // Same per-element sequence as quantize1, eight lanes at a time (GCC
+  // keeps this loop scalar on its own because of the int8 narrowing store).
+  // The clamp bounds every lane inside int8 range, so the saturating packs
+  // never saturate and the narrowing is exact.
+  const __m256 vinv = _mm256_set1_ps(g.inv);
+  const __m256 vmax = _mm256_set1_ps(g.maxv);
+  const __m256 vmin = _mm256_set1_ps(-g.maxv);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 signmask = _mm256_castsi256_ps(
+      _mm256_set1_epi32(static_cast<std::int32_t>(0x80000000)));
+  for (; i + 8 <= count; i += 8) {
+    __m256 v = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
+    v = _mm256_min_ps(_mm256_max_ps(v, vmin), vmax);
+    const __m256 h = _mm256_or_ps(_mm256_and_ps(v, signmask), half);
+    const __m256i q = _mm256_cvttps_epi32(_mm256_add_ps(v, h));
+    const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                      _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_packs_epi16(w, w));
+  }
+#endif
+  for (; i < count; ++i) dst[i] = quantize1(src[i], g);
+}
+
+/// One plane row of the tap layout: count codes, of which [o0, o1) are
+/// dst[o] = quantize1(live[(o - o0) * s]) and the rest the zero border.
+/// Reads only live[0 .. (o1 - o0 - 1) * s].
+void fill_tap_row(const float* live, std::int64_t s, std::int64_t o0,
+                  std::int64_t o1, std::int64_t count, const QuantGrid& g,
+                  std::int8_t* dst) {
+#if defined(UPAQ_S8_AVX512)
+  if (s <= 2) {
+    // The live run goes 16 outputs at a time from o0: plain loads and
+    // stores (every 2nd float picked by a two-source permute at stride 2).
+    // One masked group ends the row: its lanes past o1 load 0.0, which
+    // quantizes to code 0, so it also writes the right border. Masked
+    // accesses cost about twice plain ones here, so there is one per row.
+    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                           20, 22, 24, 26, 28, 30);
+    for (std::int64_t j = 0; j < o0; ++j) dst[j] = 0;
+    std::int64_t i = o0;
+    const float* p = live;
+    for (; i + 16 <= o1; i += 16, p += 16 * s) {
+      __m512 v = _mm512_loadu_ps(p);
+      if (s == 2)  // the float past the last one read may lie past the map
+        v = _mm512_permutex2var_ps(
+            v, even,
+            i + 16 < o1 ? _mm512_loadu_ps(p + 16)
+                        : _mm512_maskz_loadu_ps(low_mask16(15), p + 16));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), quantize16(v, g));
+    }
+    if (i < count) {
+      const std::int64_t r = o1 - i;  // live outputs left, < 16
+      __m512 v = _mm512_maskz_loadu_ps(low_mask16(s == 1 ? r : 2 * r - 1), p);
+      if (s == 2)
+        v = _mm512_permutex2var_ps(
+            v, even, _mm512_maskz_loadu_ps(low_mask16(2 * r - 17), p + 16));
+      _mm_mask_storeu_epi8(dst + i, low_mask16(count - i), quantize16(v, g));
+      if (count - i > 16)
+        std::memset(dst + i + 16, 0, static_cast<std::size_t>(count - i - 16));
+    }
+    return;
+  }
+#endif
+  std::memset(dst, 0, static_cast<std::size_t>(o0));
+  if (s == 1) {
+    convert_range(live, o1 - o0, g, dst + o0);
+  } else {
+    for (std::int64_t o = o0; o < o1; ++o)
+      dst[o] = quantize1(live[(o - o0) * s], g);
+  }
+  std::memset(dst + o1, 0, static_cast<std::size_t>(count - o1));
+}
+
+/// even[j] = quantize1(row[2j]) and odd[j] = quantize1(row[2j + 1]) for j in
+/// [0, half): both column phases of a map row of 2 * half floats in one pass.
+void convert_deinterleave(const float* row, std::int64_t half,
+                          const QuantGrid& g, std::int8_t* even,
+                          std::int8_t* odd) {
+  std::int64_t j = 0;
+#if defined(UPAQ_S8_AVX512)
+  const __m512i ie = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20,
+                                       22, 24, 26, 28, 30);
+  const __m512i io = _mm512_add_epi32(ie, _mm512_set1_epi32(1));
+  for (; j + 16 <= half; j += 16) {
+    const __m512 lo = _mm512_loadu_ps(row + 2 * j);
+    const __m512 hi = _mm512_loadu_ps(row + 2 * j + 16);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(even + j),
+                     quantize16(_mm512_permutex2var_ps(lo, ie, hi), g));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(odd + j),
+                     quantize16(_mm512_permutex2var_ps(lo, io, hi), g));
+  }
+  if (j < half) {
+    const std::int64_t r = half - j;
+    const __m512 lo = _mm512_maskz_loadu_ps(low_mask16(2 * r), row + 2 * j);
+    const __m512 hi =
+        _mm512_maskz_loadu_ps(low_mask16(2 * r - 16), row + 2 * j + 16);
+    _mm_mask_storeu_epi8(even + j, low_mask16(r),
+                         quantize16(_mm512_permutex2var_ps(lo, ie, hi), g));
+    _mm_mask_storeu_epi8(odd + j, low_mask16(r),
+                         quantize16(_mm512_permutex2var_ps(lo, io, hi), g));
+  }
+  return;
+#endif
+  for (; j < half; ++j) {
+    even[j] = quantize1(row[2 * j], g);
+    odd[j] = quantize1(row[2 * j + 1], g);
+  }
+}
+
+/// The whole-plane fill, for a stride-1 or stride-2 conv whose output is the
+/// map's width over the stride (w = s * ow: same padding, even width at
+/// stride 2 — every shipped 3x3 conv). Then plane (py, kx) is phase block
+/// (py, px) — rows py, py + s, ... of the padded map at its columns
+/// px, px + s, ..., px = (kx - pad) mod s — shifted by (kx - pad - px) / s
+/// columns: one contiguous run. Each phase block is quantized straight into
+/// its unshifted plane (kx = px + pad), every map element once, and the
+/// other planes are shifted copies with the columns the shift wrapped in
+/// from the neighbouring row set to 0. Returns false (nothing written) for
+/// any other geometry, which fills row by row.
+bool fill_tap_planes_shifted(const float* src, const TapLayout& t,
+                             const QuantGrid& g, std::int64_t ch,
+                             std::int8_t* dst) {
+  const std::int64_t s = t.stride;
+  if (s > 2 || t.w != s * t.ow || t.k < s) return false;
+  // Every column phase is read (k >= s) and has its unshifted plane.
+  const auto phase = [&](int kx) { return ((kx - t.pad) % s + s) % s; };
+  for (std::int64_t px = 0; px < s; ++px)
+    if (px + t.pad >= t.k) return false;
+  const std::int64_t plane = t.hq * t.ow;
+  std::int8_t* d = dst + ch * t.phases * t.k * plane;
+  const auto block = [&](std::int64_t py, std::int64_t px) {
+    return d + (py * t.k + px + t.pad) * plane;
+  };
+  for (std::int64_t py = 0; py < t.phases; ++py)
+    for (std::int64_t u = 0; u < t.hq; ++u) {
+      const std::int64_t y = u * s + py - t.pad;
+      if (y < 0 || y >= t.h) {
+        for (std::int64_t px = 0; px < s; ++px)
+          std::memset(block(py, px) + u * t.ow, 0,
+                      static_cast<std::size_t>(t.ow));
+      } else if (s == 2) {
+        convert_deinterleave(src + (ch * t.h + y) * t.w, t.ow, g,
+                             block(py, 0) + u * t.ow, block(py, 1) + u * t.ow);
+      }
+    }
+  if (s == 1)  // the map rows are one run in the map and in the block
+    convert_range(src + ch * t.h * t.w, t.h * t.w, g,
+                  block(0, 0) + t.pad * t.ow);
+  for (std::int64_t py = 0; py < t.phases; ++py)
+    for (int kx = 0; kx < t.k; ++kx) {
+      const std::int64_t px = phase(kx), shift = (kx - t.pad - px) / s;
+      if (shift == 0) continue;
+      std::int8_t* run = d + (py * t.k + kx) * plane;
+      const std::int64_t i0 = std::max<std::int64_t>(0, -shift);
+      const std::int64_t i1 = std::min(plane, plane - shift);
+      if (i1 > i0)
+        std::memcpy(run + i0, block(py, px) + i0 + shift,
+                    static_cast<std::size_t>(i1 - i0));
+      // Output columns o whose block column o + shift leaves [0, ow).
+      const std::int64_t b0 =
+          shift < 0 ? 0 : std::max<std::int64_t>(0, t.ow - shift);
+      const std::int64_t b1 = shift < 0 ? std::min(t.ow, -shift) : t.ow;
+      for (std::int64_t u = 0; u < t.hq; ++u)
+        for (std::int64_t o = b0; o < b1; ++o) run[u * t.ow + o] = 0;
+    }
+  return true;
+}
+
+/// Fills channel `ch`'s planes of the tap layout, one plane row at a time:
+/// plane (py, kx) row u is map row u * s + py - pad at map columns
+/// o * s + kx - pad; the outputs o whose column is inside the map form the
+/// same range [o0, o1) on every row of a plane.
+void fill_tap_planes(const float* src, const TapLayout& t, const QuantGrid& g,
+                     std::int64_t ch, std::int8_t* dst) {
+  const std::int64_t s = t.stride;
+  std::int8_t* d = dst + ch * t.phases * t.k * t.hq * t.ow;
+  if (fill_tap_planes_shifted(src, t, g, ch, dst)) return;
+  for (std::int64_t py = 0; py < t.phases; ++py)
+    for (int kx = 0; kx < t.k; ++kx) {
+      const std::int64_t x0 = kx - t.pad;
+      const std::int64_t o0 = std::min(t.ow, x0 < 0 ? (-x0 + s - 1) / s : 0);
+      const std::int64_t o1 = std::clamp<std::int64_t>(
+          t.w > x0 ? (t.w - x0 + s - 1) / s : 0, o0, t.ow);
+      for (std::int64_t u = 0; u < t.hq; ++u, d += t.ow) {
+        const std::int64_t y = u * s + py - t.pad;
+        if (y < 0 || y >= t.h) {
+          std::memset(d, 0, static_cast<std::size_t>(t.ow));
+        } else {
+          fill_tap_row(src + (ch * t.h + y) * t.w + o0 * s + x0, s, o0, o1,
+                       t.ow, g, d);
+        }
+      }
+    }
+}
+
 }  // namespace
 
 float s8_quantize(const float* src, std::int64_t n, int bits,
                   std::int8_t* dst) {
-  // Abs-max with chunked partials: max is exact and order-independent, so
-  // combining per-chunk maxima gives the same alpha at any thread count.
-  float alpha = 0.0f;
-  if (n < kMinParallelWork) {
-    alpha = abs_max_range(src, 0, n);
-  } else {
-    const std::int64_t chunks = (n + kMinParallelWork - 1) / kMinParallelWork;
-    std::vector<float> partial(static_cast<std::size_t>(chunks), 0.0f);
-    parallel::parallel_for(0, n, kMinParallelWork,
-                           [&](std::int64_t i0, std::int64_t i1) {
-                             partial[static_cast<std::size_t>(
-                                 i0 / kMinParallelWork)] =
-                                 abs_max_range(src, i0, i1);
-                           });
-    for (float a : partial) alpha = std::max(alpha, a);
-  }
+  const float alpha = abs_max(src, n);
   if (alpha == 0.0f) {
     // Caller scratch (workspace arena) is not pre-zeroed, so fill explicitly.
     std::fill(dst, dst + n, static_cast<std::int8_t>(0));
     return 1.0f;
   }
-
-  const double max_value = std::pow(2.0, bits - 1) - 1.0;
-  const float scale = static_cast<float>(alpha / max_value);
-  // One multiply + clamp + round-half-away per element, all in float so the
-  // loop stays in SIMD registers. Clamping first bounds the value, so the
-  // truncating cast is exact. Each element is touched exactly once — the
-  // codes cannot depend on vector width or thread count.
-  const float inv = 1.0f / scale;
-  const float maxv = static_cast<float>(max_value);
-  auto convert = [&](std::int64_t i0, std::int64_t i1) {
-    std::int64_t i = i0;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-    // Same per-element sequence as the scalar tail below — multiply, clamp,
-    // add copysign(0.5), truncate — just eight lanes at a time (GCC keeps
-    // this loop scalar on its own because of the int8 narrowing store). The
-    // clamp bounds every lane inside int8 range, so the saturating packs
-    // never saturate and the narrowing is exact.
-    const __m256 vinv = _mm256_set1_ps(inv);
-    const __m256 vmax = _mm256_set1_ps(maxv);
-    const __m256 vmin = _mm256_set1_ps(-maxv);
-    const __m256 half = _mm256_set1_ps(0.5f);
-    const __m256 signmask = _mm256_castsi256_ps(_mm256_set1_epi32(
-        static_cast<std::int32_t>(0x80000000)));
-    for (; i + 8 <= i1; i += 8) {
-      __m256 v = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
-      v = _mm256_min_ps(_mm256_max_ps(v, vmin), vmax);
-      const __m256 h = _mm256_or_ps(_mm256_and_ps(v, signmask), half);
-      const __m256i q = _mm256_cvttps_epi32(_mm256_add_ps(v, h));
-      const __m128i w =
-          _mm_packs_epi32(_mm256_castsi256_si128(q),
-                          _mm256_extracti128_si256(q, 1));
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_packs_epi16(w, w));
-    }
-#endif
-    for (; i < i1; ++i) {
-      float v = src[i] * inv;
-      v = std::min(std::max(v, -maxv), maxv);
-      // Round half away from zero via a truncating cast; copysign keeps the
-      // loop branch-free.
-      dst[i] = static_cast<std::int8_t>(
-          static_cast<std::int32_t>(v + std::copysign(0.5f, v)));
-    }
-  };
-  if (n < kMinParallelWork) {
-    convert(0, n);
+  const QuantGrid g = quant_grid(alpha, bits);
+  if (n < kQuantParallelMin) {
+    convert_range(src, n, g, dst);
   } else {
-    parallel::parallel_for(0, n, kMinParallelWork, convert);
+    parallel::parallel_for(0, n, kQuantChunk,
+                           [&](std::int64_t i0, std::int64_t i1) {
+                             convert_range(src + i0, i1 - i0, g, dst + i0);
+                           });
   }
-  return scale;
+  return g.scale;
+}
+
+float s8_quantize_taps(const float* src, const TapLayout& t, int bits,
+                       std::int8_t* dst) {
+  const std::int64_t n = t.c * t.h * t.w;
+  // A 1x1, pad-0, stride-1 layout is the flat map.
+  if (t.k == 1 && t.pad == 0 && t.stride == 1)
+    return s8_quantize(src, n, bits, dst);
+  const float alpha = abs_max(src, n);
+  if (alpha == 0.0f) {
+    std::memset(dst, 0, static_cast<std::size_t>(t.bytes()));
+    return 1.0f;
+  }
+  const QuantGrid g = quant_grid(alpha, bits);
+  // Channels fill disjoint planes; the same element-count gate as
+  // s8_quantize decides whether they fan out (filling the planes of a
+  // 74k-301k element map on 2 lanes measured no faster than serially).
+  auto channels = [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t ch = c0; ch < c1; ++ch)
+      fill_tap_planes(src, t, g, ch, dst);
+  };
+  if (n < kQuantParallelMin) {
+    channels(0, t.c);
+  } else {
+    const std::int64_t per = std::max<std::int64_t>(1, t.h * t.w);
+    parallel::parallel_for(
+        0, t.c, std::max<std::int64_t>(1, kQuantChunk / per), channels);
+  }
+  return g.scale;
 }
 
 namespace {

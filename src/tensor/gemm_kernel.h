@@ -116,25 +116,27 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
 
 /// Column-blocked int32-accumulate helper for the qnn segment GEMM: for the
 /// entry list {(cols[e], codes[e])}, e in [0, len), accumulates
-///   acc[j] += codes[e] * qx[cols[e] * ldq + j0 + j]   for j in [0, nb)
-/// into the caller's int32 block accumulator. Exact integer arithmetic —
+///   acc[j] += codes[e] * qx[off[cols[e]] + j0 + j]   for j in [0, nb)
+/// into the caller's int32 block accumulator (`off` is the activation
+/// operand's row-offset table, see QTaps). Exact integer arithmetic —
 /// bitwise identical to the unblocked sweep for any block decomposition.
 void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
                            std::int64_t len, const std::int8_t* qx,
-                           std::int64_t ldq, std::int64_t j0, std::int64_t nb,
-                           std::int32_t* acc);
+                           const std::int64_t* off, std::int64_t j0,
+                           std::int64_t nb, std::int32_t* acc);
 
 /// Fused short-segment kernel for the qnn segment GEMM (UPAQ patterns keep
 /// 1..3 weights per kernel): for the `len` (1..3) entries {(cols[e],
 /// codes[e])} computes, per column j in [0, nb),
-///   t = m * float(sum_e codes[e] * qx[cols[e] * ldq + j0 + j]);  yb[j] += t
+///   t = m * float(sum_e codes[e] * qx[off[cols[e]] + j0 + j]);  yb[j] += t
 /// The integer dot is exact; the requantization is exactly one float multiply
 /// followed by one float add per element (spelled as two statements so the
 /// compiler cannot contract them differently between the vector body and the
 /// scalar tail) — so the result is independent of the vector width.
 void s8_fused_segment(const std::int32_t* cols, const std::int32_t* codes,
-                      std::int64_t len, const std::int8_t* qx, std::int64_t ldq,
-                      std::int64_t j0, std::int64_t nb, float m, float* yb);
+                      std::int64_t len, const std::int8_t* qx,
+                      const std::int64_t* off, std::int64_t j0,
+                      std::int64_t nb, float m, float* yb);
 
 /// Requantize-and-add flush of an int32 accumulator block: per j in [0, nb),
 ///   t = m * float(acc[j]);  yb[j] += t
@@ -183,15 +185,67 @@ bool s8_pair_kernel();
 QPairTable s8_pack_pairs(const std::int32_t* cols, const std::int32_t* codes,
                          const QSegment* segs, std::int64_t nseg);
 
+/// Activation operand of the segment GEMM, read in place: weight column
+/// (im2col row) r of output column j is the code at qx[off[r] + j], for j in
+/// [0, n). A conv runs its tap layout (TapLayout) this way with no column
+/// matrix; an explicit (k, n) matrix is off[r] = r * n.
+struct QTaps {
+  const std::int8_t* qx = nullptr;
+  const std::int64_t* off = nullptr;  ///< one entry per weight column
+  std::int64_t n = 0;                 ///< output columns
+};
+
+/// The explicit (k, n) row-major matrix `qx` as a QTaps, with its offset
+/// table written to `off` (k entries).
+QTaps s8_matrix_taps(const std::int8_t* qx, std::int64_t k, std::int64_t n,
+                     std::int64_t* off);
+
+/// The tap-addressable int8 layout of one (c, h, w) conv input map, so every
+/// im2col row of a k x k, stride-s, pad-p conv is one contiguous run of
+/// oh * ow codes. Take the zero-bordered (c, h + 2p, w + 2p) map and its
+/// stride phases: padded rows py, py + s, ... (py < min(s, k)) form the
+/// `hq` rows of a phase. For each channel ch, row phase py and tap column
+/// kx, plane (ch, py, kx) holds those rows at the ow columns kx, kx + s,
+/// ..., kx + (ow - 1) * s, so tap (ch, ky, kx) of output (oy, ox) sits at
+///   plane(ch, ky % s, kx) + (oy + ky / s) * ow + ox
+/// — one offset (s8_tap_offsets) plus the dense output column j = oy * ow +
+/// ox, with no dead columns to compute or drop. The layout holds
+/// min(s, k) * k * hq * ow codes per channel: about k / s times the map,
+/// where the im2col matrix is k^2 / s^2 times. A 1x1, pad-0, stride-1 conv's
+/// layout is its flat map.
+struct TapLayout {
+  std::int64_t c = 0, h = 0, w = 0;
+  int k = 1, stride = 1, pad = 0;
+  std::int64_t oh = 0, ow = 0;  ///< conv output size
+  std::int64_t phases = 1;      ///< row phases kept, min(stride, k)
+  std::int64_t hq = 0;          ///< rows per plane
+  std::int64_t bytes() const { return c * phases * k * hq * ow; }
+  std::int64_t cols() const { return oh * ow; }
+  std::int64_t taps() const { return c * k * k; }
+};
+
+TapLayout tap_layout(std::int64_t c, std::int64_t h, std::int64_t w, int k,
+                     int stride, int pad);
+
+/// The layout's offset table: off[(ch * k + ky) * k + kx] is where im2col
+/// row (ch, ky, kx) has its column 0 (taps() entries).
+void s8_tap_offsets(const TapLayout& t, std::int64_t* off);
+
+/// QTaps over a filled tap layout `qx` and its offset table.
+QTaps s8_layout_taps(const TapLayout& t, const std::int8_t* qx,
+                     const std::int64_t* off);
+
 /// The whole segment-path integer GEMM (qnn::PackedGemm's sparse branch):
-/// y(rows, n) = requant(Wq * Xq) + bias over the entry lists, column-blocked
-/// with the fused 1/2/3-entry kernels and the generic int32-accumulate path.
-/// Per output element the operation order is: bias fill, then one
-/// requantizing multiply-add per segment in ascending segment order — the
-/// invariant every other integer path reproduces — then, with an active
-/// `epi` (channel = row), the epilogue as the row block's final store.
-/// Parallel over row blocks (disjoint outputs, shape-only gating), so
-/// thread-count independent.
+/// y(rows, x.n) = requant(Wq * Xq) + bias over the entry lists,
+/// column-blocked with the fused 1/2/3-entry kernels and the generic
+/// int32-accumulate path, reading activations in place through `x` (QTaps).
+/// `k` (the weight's column count) only sizes the parallel gate. Per output
+/// element the operation order is: bias fill, then one requantizing
+/// multiply-add per segment in ascending segment order — the invariant every
+/// other integer path reproduces — then, with an active `epi` (channel =
+/// row), the epilogue as the row block's final store. Parallel over row
+/// blocks (disjoint outputs, shape-only gating), so thread-count
+/// independent.
 ///
 /// A non-null `pairs` (the s8_pack_pairs table of the same segments) selects
 /// the fast path. On AVX-512BW/VNNI builds that is a 64-column row block:
@@ -209,8 +263,8 @@ QPairTable s8_pack_pairs(const std::int32_t* cols, const std::int32_t* codes,
 /// alter results — only speed. A null `pairs` runs the portable generic path.
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
-                      std::int64_t rows, std::int64_t k, const std::int8_t* qx,
-                      float sx, std::int64_t n, const float* bias, float* y,
+                      std::int64_t rows, std::int64_t k, const QTaps& x,
+                      float sx, const float* bias, float* y,
                       const QPairTable* pairs = nullptr,
                       const Epilogue* epi = nullptr);
 
@@ -336,6 +390,13 @@ void q4_gemm_panel(const Q4PanelA& w, const std::int8_t* qx, float sx,
 /// associatively; the convert touches each element once), so the result is
 /// identical at any vector width or thread count.
 float s8_quantize(const float* src, std::int64_t n, int bits, std::int8_t* dst);
+
+/// s8_quantize of the (t.c, t.h, t.w) map `src` written straight into its
+/// tap layout `dst` (t.bytes() codes): the same scale and the same code per
+/// element, with every border and unused plane position set to code 0 —
+/// what quantizing a padded float zero gives.
+float s8_quantize_taps(const float* src, const TapLayout& t, int bits,
+                       std::int8_t* dst);
 
 /// int8 im2col gather (the hot half of qnn's im2col, hosted here for the
 /// kernel TU's codegen): pure byte moves — out-of-bounds taps become code 0,

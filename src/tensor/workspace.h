@@ -101,6 +101,10 @@ class Scope {
     return static_cast<std::int32_t*>(
         arena_.alloc(static_cast<std::size_t>(n) * sizeof(std::int32_t), 64));
   }
+  std::int64_t* i64(std::int64_t n) {
+    return static_cast<std::int64_t*>(
+        arena_.alloc(static_cast<std::size_t>(n) * sizeof(std::int64_t), 64));
+  }
 
  private:
   Arena& arena_;

@@ -384,6 +384,42 @@ SegmentLists segment_lists(const qnn::PackedTensor& p, std::int64_t rows,
   return l;
 }
 
+/// Per-row operands of a full epilogue (BN + residual + LeakyReLU) over a
+/// (rows, cols) output, with signed zeros in the edge slots.
+struct EpilogueOperands {
+  std::vector<float> bias, gamma, mean, inv_std, beta;
+  Tensor skip;
+
+  EpilogueOperands(std::int64_t rows, std::int64_t cols, Rng& rng) {
+    const auto per_row = [&](float lo, float hi) {
+      std::vector<float> v(static_cast<std::size_t>(rows));
+      for (auto& x : v) x = rng.uniform(lo, hi);
+      return v;
+    };
+    bias = per_row(-1.0f, 1.0f);
+    bias[0] = -0.0f;
+    gamma = per_row(0.5f, 1.5f);
+    mean = per_row(-0.5f, 0.5f);
+    inv_std = per_row(0.5f, 2.0f);
+    beta = per_row(-0.5f, 0.5f);
+    gamma[0] = 0.0f;
+    beta[0] = -0.0f;
+    skip = testing::edge_tensor({rows, cols}, rng);
+  }
+
+  gemm::Epilogue full() const {
+    gemm::Epilogue e;
+    e.gamma = gamma.data();
+    e.mean = mean.data();
+    e.inv_std = inv_std.data();
+    e.beta = beta.data();
+    e.skip = skip.data();
+    e.relu = true;
+    e.slope = 0.1f;
+    return e;
+  }
+};
+
 TEST(QgemmKernel, SegmentFastPathMatchesGenericPathBitwise) {
   // Every packed kernel is checked against the segment kernel, so the
   // segment kernel's own fast path (the pair table) is checked here against
@@ -411,36 +447,18 @@ TEST(QgemmKernel, SegmentFastPathMatchesGenericPathBitwise) {
           const qnn::QuantizedActs qa =
               qnn::quantize_acts(Tensor::uniform({c.k, c.n}, rng), 8);
 
-          const auto per_row = [&](float lo, float hi) {
-            std::vector<float> v(static_cast<std::size_t>(c.rows));
-            for (auto& x : v) x = rng.uniform(lo, hi);
-            return v;
-          };
-          std::vector<float> bias = per_row(-1.0f, 1.0f);
-          bias[0] = -0.0f;
-          std::vector<float> gamma = per_row(0.5f, 1.5f);
-          std::vector<float> mean = per_row(-0.5f, 0.5f);
-          const std::vector<float> inv_std = per_row(0.5f, 2.0f);
-          std::vector<float> beta = per_row(-0.5f, 0.5f);
-          gamma[0] = 0.0f;
-          beta[0] = -0.0f;
-          const Tensor skip = testing::edge_tensor({c.rows, c.n}, rng);
-          gemm::Epilogue full;
-          full.gamma = gamma.data();
-          full.mean = mean.data();
-          full.inv_std = inv_std.data();
-          full.beta = beta.data();
-          full.skip = skip.data();
-          full.relu = true;
-          full.slope = 0.1f;
+          const EpilogueOperands ops(c.rows, c.n, rng);
+          const gemm::Epilogue full = ops.full();
 
           const auto run = [&](const gemm::QPairTable* pt,
                                const gemm::Epilogue* epi) {
             Tensor y({c.rows, c.n});
-            gemm::s8_gemm_segments(l.cols.data(), l.codes.data(),
-                                   l.segs.data(), l.row_segs.data(), c.rows,
-                                   c.k, qa.codes.data(), qa.scale, c.n,
-                                   bias.data(), y.data(), pt, epi);
+            std::vector<std::int64_t> off(static_cast<std::size_t>(c.k));
+            gemm::s8_gemm_segments(
+                l.cols.data(), l.codes.data(), l.segs.data(),
+                l.row_segs.data(), c.rows, c.k,
+                gemm::s8_matrix_taps(qa.codes.data(), c.k, c.n, off.data()),
+                qa.scale, ops.bias.data(), y.data(), pt, epi);
             return y;
           };
           const gemm::Epilogue* const epis[] = {nullptr, &full};
@@ -464,6 +482,131 @@ TEST(QgemmKernel, SegmentFastPathMatchesGenericPathBitwise) {
           }
           parallel::set_thread_count(1);
         }
+}
+
+TEST(QgemmKernel, ImplicitConvMatchesIm2colPathBitwise) {
+  // A segment-kernel conv reads its taps in place from the tap layout
+  // (gemm::TapLayout) instead of an im2col matrix.
+  // Reference: quantize the flat map, gather the explicit int8 column matrix
+  // (s8_im2col) and run the generic segment path on it at 1 thread. The
+  // implicit GEMM — on the pair table and on the generic path — must match
+  // it bitwise at 1 and 4 threads, with no epilogue and with BN + residual +
+  // LeakyReLU, over stride {1, 2} x pad {0, 1} on even, odd and wide maps:
+  // output rows straddle 64-column blocks, and the 65- and 130-wide maps
+  // give an output width of 65. The layout sits in an exact-size
+  // allocation, so a tap read past its end is an ASan error.
+  struct Map {
+    std::int64_t h, w;
+  };
+  const Map maps[] = {{8, 8}, {9, 7}, {32, 32}, {33, 31}, {3, 65}, {4, 130}};
+  const std::int64_t in_c = 3, rows = 20, k = in_c * 9;
+  Rng rng(7171);
+  for (const Map& m : maps)
+    for (const int stride : {1, 2})
+      for (const int pad : {0, 1})
+        for (const int bits : {2, 4, 8}) {
+          const gemm::TapLayout t =
+              gemm::tap_layout(in_c, m.h, m.w, 3, stride, pad);
+          ASSERT_GT(t.oh * t.ow, 0);
+          const std::int64_t out_n = t.oh * t.ow;
+          const Tensor w = make_case_weight({rows, k, out_n, 2}, 0.0, rng);
+          const auto packed =
+              qnn::pack(w, bits, 9, quant::StorageFormat::kDense);
+          const SegmentLists l = segment_lists(packed, rows, k);
+          const gemm::QPairTable pairs = gemm::s8_pack_pairs(
+              l.cols.data(), l.codes.data(), l.segs.data(),
+              static_cast<std::int64_t>(l.segs.size()));
+          const Tensor x = Tensor::uniform({in_c, m.h, m.w}, rng);
+
+          std::vector<std::int8_t> flat(static_cast<std::size_t>(x.numel()));
+          const float sx = gemm::s8_quantize(x.data(), x.numel(), 8,
+                                             flat.data());
+          std::vector<std::int8_t> im2col(static_cast<std::size_t>(k * out_n));
+          gemm::s8_im2col(flat.data(), in_c, m.h, m.w, 3, stride, pad, t.oh,
+                          t.ow, im2col.data());
+          std::vector<std::int64_t> im2col_off(static_cast<std::size_t>(k));
+          const gemm::QTaps explicit_x = gemm::s8_matrix_taps(
+              im2col.data(), k, out_n, im2col_off.data());
+
+          std::vector<std::int8_t> layout(static_cast<std::size_t>(t.bytes()));
+          const float sx_taps =
+              gemm::s8_quantize_taps(x.data(), t, 8, layout.data());
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(sx),
+                    std::bit_cast<std::uint32_t>(sx_taps));
+          std::vector<std::int64_t> off(static_cast<std::size_t>(t.taps()));
+          gemm::s8_tap_offsets(t, off.data());
+          const gemm::QTaps implicit_x =
+              gemm::s8_layout_taps(t, layout.data(), off.data());
+          ASSERT_EQ(implicit_x.n, out_n);
+
+          const EpilogueOperands ops(rows, out_n, rng);
+          const gemm::Epilogue full = ops.full();
+          const auto run = [&](const gemm::QTaps& xt,
+                               const gemm::QPairTable* pt,
+                               const gemm::Epilogue* epi) {
+            Tensor y({rows, out_n});
+            gemm::s8_gemm_segments(l.cols.data(), l.codes.data(),
+                                   l.segs.data(), l.row_segs.data(), rows, k,
+                                   xt, sx, ops.bias.data(), y.data(), pt, epi);
+            return y;
+          };
+          const gemm::Epilogue* const epis[] = {nullptr, &full};
+          for (const gemm::Epilogue* epi : epis) {
+            parallel::set_thread_count(1);
+            const Tensor ref = run(explicit_x, nullptr, epi);
+            for (const int threads : {1, 4}) {
+              parallel::set_thread_count(threads);
+              char what[160];
+              std::snprintf(what, sizeof(what),
+                            "implicit vs im2col h=%lld w=%lld stride=%d "
+                            "pad=%d bits=%d epi=%d threads=%d",
+                            static_cast<long long>(m.h),
+                            static_cast<long long>(m.w), stride, pad, bits,
+                            epi != nullptr, threads);
+              expect_bitwise_equal(run(implicit_x, &pairs, epi), ref, what);
+              expect_bitwise_equal(run(implicit_x, nullptr, epi), ref, what);
+            }
+          }
+          parallel::set_thread_count(1);
+        }
+  // A 5x5 kernel on maps down to 1x1: tap columns shifted by more than the
+  // map is wide, whole border planes.
+  for (const Map& m : {Map{1, 1}, Map{2, 3}, Map{6, 6}})
+    for (const int stride : {1, 2}) {
+      const std::int64_t k5 = in_c * 25;
+      const gemm::TapLayout t =
+          gemm::tap_layout(in_c, m.h, m.w, 5, stride, 2);
+      const std::int64_t out_n = t.oh * t.ow;
+      const Tensor w = make_weight(rows, k5, 0.5, rng);
+      const auto packed = qnn::pack(w, 8, 25, quant::StorageFormat::kDense);
+      const SegmentLists l = segment_lists(packed, rows, k5);
+      const Tensor x = Tensor::uniform({in_c, m.h, m.w}, rng);
+      std::vector<std::int8_t> flat(static_cast<std::size_t>(x.numel()));
+      const float sx =
+          gemm::s8_quantize(x.data(), x.numel(), 8, flat.data());
+      std::vector<std::int8_t> im2col(static_cast<std::size_t>(k5 * out_n));
+      gemm::s8_im2col(flat.data(), in_c, m.h, m.w, 5, stride, 2, t.oh, t.ow,
+                      im2col.data());
+      std::vector<std::int64_t> im2col_off(static_cast<std::size_t>(k5));
+      std::vector<std::int8_t> layout(static_cast<std::size_t>(t.bytes()));
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(sx),
+                std::bit_cast<std::uint32_t>(gemm::s8_quantize_taps(
+                    x.data(), t, 8, layout.data())));
+      std::vector<std::int64_t> off(static_cast<std::size_t>(t.taps()));
+      gemm::s8_tap_offsets(t, off.data());
+      const auto run = [&](const gemm::QTaps& xt) {
+        Tensor y({rows, out_n});
+        gemm::s8_gemm_segments(l.cols.data(), l.codes.data(), l.segs.data(),
+                               l.row_segs.data(), rows, k5, xt, sx, nullptr,
+                               y.data());
+        return y;
+      };
+      expect_bitwise_equal(
+          run(gemm::s8_layout_taps(t, layout.data(), off.data())),
+          run(gemm::s8_matrix_taps(im2col.data(), k5, out_n,
+                                   im2col_off.data())),
+          "implicit vs im2col, 5x5 kernel");
+    }
 }
 
 TEST(QgemmKernel, SteadyStatePanelRunsDoNotGrowArena) {
@@ -543,8 +686,10 @@ TEST(QgemmKernel, AutoDispatchKeepsPatternPrunedConvsOnSegmentKernel) {
 }
 
 TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
-  // Counters only accumulate while tracing is on. Both paths charge the
-  // same work: surviving entries x output columns.
+  // Counters only accumulate while tracing is on. Every path charges the
+  // same work: surviving entries x output columns — also the implicit GEMM
+  // over a conv's tap layout, whose planes hold more codes than it has
+  // output columns.
   Rng rng(555);
   const std::int64_t rows = 11, k = 40, n = 23;
   const Tensor w = make_weight(rows, k, 0.4, rng);
@@ -562,6 +707,26 @@ TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
         prof::counter_value(prof::Counter::kQgemmMacs) - before;
     EXPECT_EQ(delta, static_cast<std::uint64_t>(g.entry_count()) *
                          static_cast<std::uint64_t>(n));
+  }
+  {
+    // 4 input channels x 9 taps = k 36; a 7 x 6 map at stride 2, pad 1
+    // gives 4 x 3 outputs.
+    const Tensor wc = make_weight(rows, 36, 0.4, rng);
+    const auto pc = qnn::pack(wc, 8, 9, quant::StorageFormat::kDense);
+    PackedGemm g(pc, rows, 36, PanelMode::kForceSegment);
+    const gemm::TapLayout t = gemm::tap_layout(4, 7, 6, 3, 2, 1);
+    const Tensor map = Tensor::uniform({4, 7, 6}, rng);
+    std::vector<std::int8_t> layout(static_cast<std::size_t>(t.bytes()));
+    const float sx = gemm::s8_quantize_taps(map.data(), t, 8, layout.data());
+    std::vector<std::int64_t> off(static_cast<std::size_t>(t.taps()));
+    gemm::s8_tap_offsets(t, off.data());
+    ASSERT_EQ(t.oh * t.ow, 12);
+    std::vector<float> yc(static_cast<std::size_t>(rows * 12));
+    const std::uint64_t before = prof::counter_value(prof::Counter::kQgemmMacs);
+    g.run_taps(gemm::s8_layout_taps(t, layout.data(), off.data()), sx,
+               nullptr, yc.data());
+    EXPECT_EQ(prof::counter_value(prof::Counter::kQgemmMacs) - before,
+              static_cast<std::uint64_t>(g.entry_count()) * 12u);
   }
   prof::set_enabled(false);
 }

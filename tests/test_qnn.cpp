@@ -18,6 +18,7 @@
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "parallel/thread_pool.h"
+#include "prof/prof.h"
 #include "prune/pattern.h"
 #include "qnn/packed.h"
 #include "qnn/qgemm.h"
@@ -164,6 +165,86 @@ TEST(PackedConv2d, MatchesFloatFakeQuantPath) {
                       want.at(oc, i) + conv.bias()->value[oc], tol)
               << "bits=" << bits;
     }
+  }
+}
+
+TEST(PackedConv2d, SegmentConvGathersNoColumnMatrix) {
+  // A segment-pinned 3x3 conv reads its taps in place from the quantized
+  // map's tap layout, so it adds nothing to the im2col byte counter; an
+  // int8-panel-pinned one still gathers the c * k^2 * oh * ow column matrix
+  // per batch item. Both give the same bits. Counters only accumulate while
+  // tracing is on.
+  const std::int64_t n = 2, c = 6, h = 11, w = 9;
+  for (const int stride : {1, 2}) {
+    Rng rng(808 + stride);
+    nn::Conv2d conv(c, 8, 3, stride, 1, /*bias=*/true, rng, "conv");
+    const std::int64_t oh = ops::conv_out_size(h, 3, stride, 1);
+    const std::int64_t ow = ops::conv_out_size(w, 3, stride, 1);
+    const Tensor x = Tensor::normal({n, c, h, w}, rng);
+    prof::set_enabled(true);
+    Tensor outs[2];
+    int i = 0;
+    for (const auto mode : {qnn::PackedGemm::PanelMode::kForceSegment,
+                            qnn::PackedGemm::PanelMode::kForceInt8}) {
+      qnn::LowerSpec spec;
+      spec.group_size = 9;
+      spec.mode = mode;
+      ASSERT_TRUE(qnn::lower_layer(conv, spec));
+      conv.set_training(false);
+      const std::uint64_t before =
+          prof::counter_value(prof::Counter::kIm2colBytes);
+      outs[i++] = conv.forward(x);
+      const std::uint64_t delta =
+          prof::counter_value(prof::Counter::kIm2colBytes) - before;
+      const bool segment =
+          mode == qnn::PackedGemm::PanelMode::kForceSegment;
+      EXPECT_EQ(delta,
+                segment ? 0u : static_cast<std::uint64_t>(n * c * 9 * oh * ow))
+          << "stride=" << stride << " segment=" << segment;
+    }
+    prof::set_enabled(false);
+    ASSERT_EQ(outs[0].shape(), outs[1].shape());
+    EXPECT_EQ(std::memcmp(outs[0].data(), outs[1].data(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(outs[0].numel())),
+              0)
+        << "stride=" << stride;
+  }
+}
+
+TEST(PackedConv2d, SiblingConvsShareOneInputQuantization) {
+  // Two packed convs reading the same input through one nn::SharedInput
+  // quantize it once (one act-quant call per batch item for the pair) and
+  // give exactly the outputs of separate forwards.
+  Rng rng(909);
+  nn::Conv2d a(5, 4, 3, 1, 1, /*bias=*/false, rng, "a");
+  nn::Conv2d b(5, 7, 3, 1, 1, /*bias=*/true, rng, "b");
+  qnn::LowerSpec spec;
+  spec.group_size = 9;
+  spec.mode = qnn::PackedGemm::PanelMode::kForceSegment;
+  ASSERT_TRUE(qnn::lower_layer(a, spec));
+  ASSERT_TRUE(qnn::lower_layer(b, spec));
+  a.set_training(false);
+  b.set_training(false);
+  for (int pass = 0; pass < 2; ++pass) {
+    const Tensor x = Tensor::normal({2, 5, 7, 10}, rng);
+    const Tensor ya = a.forward(x), yb = b.forward(x);
+    prof::set_enabled(true);
+    const std::uint64_t before =
+        prof::counter_value(prof::Counter::kActQuantCalls);
+    nn::SharedInput share;
+    const Tensor sa = a.forward(x, {.share = &share});
+    const Tensor sb = b.forward(x, {.share = &share});
+    const std::uint64_t calls =
+        prof::counter_value(prof::Counter::kActQuantCalls) - before;
+    prof::set_enabled(false);
+    EXPECT_EQ(calls, 2u) << "one quantization per batch item, shared";
+    EXPECT_EQ(std::memcmp(ya.data(), sa.data(),
+                          sizeof(float) * static_cast<std::size_t>(ya.numel())),
+              0);
+    EXPECT_EQ(std::memcmp(yb.data(), sb.data(),
+                          sizeof(float) * static_cast<std::size_t>(yb.numel())),
+              0);
   }
 }
 
