@@ -343,8 +343,11 @@ struct PatternRow {
 /// Each conv keeps 2 of 9 slots per kernel, every kernel with its own
 /// best-fit pattern (kept-L2 argmax over the enumerated candidates, the rule
 /// assign_masks uses per kernel) — the mixed-pattern configuration the HCK
-/// plans deploy. Both engines run the full im2col+GEMM forward; reps are
-/// interleaved so host-load spikes land on both kernels or neither.
+/// plans deploy. Both engines run the full PackedConv2d forward: the int8
+/// panel quantizes the map and gathers an im2col matrix of all nine taps,
+/// the segment kernel quantizes into its tap layout and reads the taps in
+/// place, so the ratio also holds the gather the segment path skips. Reps
+/// are interleaved so host-load spikes land on both kernels or neither.
 std::vector<PatternRow> measure_pattern_speedups(int reps) {
   using namespace upaq;
   // Second conv of each scaled-config backbone block (stride-1, square 3x3)

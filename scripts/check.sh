@@ -123,8 +123,9 @@ echo "int4_geomean_speedup=${INT4_GEO} (>= ${INT4_GEOMEAN_FLOOR})"
 # switched off in a scratch build), so the 10x floor fails a build that
 # lost the fast path as well as a tuner that stopped seeing the sparsity.
 # Hosts without AVX-512BW/VNNI run only the generic path and need a floor
-# below it (UPAQ_PATTERN_GEOMEAN_FLOOR=4.5; the generic path was last
-# measured on such a build at 3.8-4.0x before the implicit GEMM). A failing
+# below it via UPAQ_PATTERN_GEOMEAN_FLOOR; such a build has not been
+# measured since the implicit GEMM (it read 3.8-4.0x before), so measure
+# it there before picking the value. A failing
 # attempt reruns the bench (same transient-noise policy as the ratchet
 # above); a genuine regression fails every attempt.
 PATTERN_GEOMEAN_FLOOR="${UPAQ_PATTERN_GEOMEAN_FLOOR:-10}"

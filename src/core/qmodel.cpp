@@ -66,12 +66,13 @@ int lower_quantized_tuned(nn::Module& model, const CompressionPlan& plan,
       const std::int64_t in_c = conv->in_channels();
       const int kk = conv->kernel(), st = conv->stride(), pd = conv->pad();
       const std::int64_t k = in_c * kk * kk;
-      // Calibrate at the conv's last-seen output geometry (capped to
-      // max_calib_n columns by cropping output ROWS, so the reconstructed
-      // input map stays geometrically consistent); tune_gemm falls back to
-      // 256 columns when the model has never been forwarded.
+      // Calibrate at the conv's last-seen geometry (capped to max_calib_n
+      // columns by cropping output ROWS, so the cropped input map stays
+      // geometrically consistent); tune_gemm falls back to 256 columns when
+      // the model has never been forwarded.
       const std::int64_t ow = conv->last_out_w();
-      std::int64_t oh = conv->last_out_h();
+      const std::int64_t full_oh = conv->last_out_h();
+      std::int64_t oh = full_oh;
       if (ow > 0 && oh > 0)
         oh = std::max<std::int64_t>(
             1, std::min(oh, std::max<std::int64_t>(8, opt.max_calib_n) / ow));
@@ -86,12 +87,21 @@ int lower_quantized_tuned(nn::Module& model, const CompressionPlan& plan,
       qnn::CandidateRunner runner;
       Tensor x;
       const bool have_geom = n > 0;
+      // The input is the map the layer last saw (a cropped one keeps its
+      // width and the fewest rows giving oh): several input sizes give the
+      // same output at stride 2, and the packed conv fills its tap layout
+      // on a different path for an odd width than for the real even one.
+      const auto min_in = [&](std::int64_t o) {
+        return std::max<std::int64_t>(1, (o - 1) * st + kk - 2 * pd);
+      };
       const std::int64_t ih =
-          have_geom ? std::max<std::int64_t>(1, (oh - 1) * st + kk - 2 * pd)
-                    : 0;
+          !have_geom ? 0
+          : oh == full_oh && conv->last_in_h() > 0 ? conv->last_in_h()
+                                                   : min_in(oh);
       const std::int64_t iw =
-          have_geom ? std::max<std::int64_t>(1, (ow - 1) * st + kk - 2 * pd)
-                    : 0;
+          !have_geom ? 0
+          : conv->last_in_w() > 0 ? conv->last_in_w()
+                                  : min_in(ow);
       // Degenerate geometries (huge pad vs tiny map) can fail to round-trip
       // through conv_out_size; fall back to the built-in proxy bodies there
       // rather than forwarding an inconsistent shape.

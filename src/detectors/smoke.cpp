@@ -158,24 +158,24 @@ Smoke::Smoke(SmokeConfig cfg, Rng& rng) : cfg_(std::move(cfg)) {
   node = graph_.add_node("neck.relu", neck_relu, {node});
 
   // Heads.
-  hm_conv_ = add<nn::Conv2d>(cfg_.up_channels, cfg_.head_channels, 3, 1, 1,
-                             false, rng, "hm.conv");
-  hm_relu_ = add<nn::Relu>("hm.relu");
+  auto* hm_conv = add<nn::Conv2d>(cfg_.up_channels, cfg_.head_channels, 3, 1, 1,
+                                  false, rng, "hm.conv");
+  auto* hm_relu = add<nn::Relu>("hm.relu");
   hm_out_ = add<nn::Conv2d>(cfg_.head_channels, cfg_.num_classes(), 1, 1, 0,
                             true, rng, "hm.out");
-  hm_trunk_.then(hm_conv_).then(hm_relu_);
-  int hm_node = graph_.add_node("hm.conv", hm_conv_, {node});
-  hm_node = graph_.add_node("hm.relu", hm_relu_, {hm_node});
+  hm_trunk_.then(hm_conv).then(hm_relu);
+  int hm_node = graph_.add_node("hm.conv", hm_conv, {node});
+  hm_node = graph_.add_node("hm.relu", hm_relu, {hm_node});
   graph_.add_node("hm.out", hm_out_, {hm_node});
 
-  reg_conv_ = add<nn::Conv2d>(cfg_.up_channels, cfg_.head_channels, 3, 1, 1,
-                              false, rng, "reg.conv");
-  reg_relu_ = add<nn::Relu>("reg.relu");
+  auto* reg_conv = add<nn::Conv2d>(cfg_.up_channels, cfg_.head_channels, 3, 1, 1,
+                                   false, rng, "reg.conv");
+  auto* reg_relu = add<nn::Relu>("reg.relu");
   reg_out_conv_ = add<nn::Conv2d>(cfg_.head_channels, kRegChannels, 1, 1, 0, true,
                                   rng, "reg.out");
-  reg_trunk_.then(reg_conv_).then(reg_relu_);
-  int reg_node = graph_.add_node("reg.conv", reg_conv_, {node});
-  reg_node = graph_.add_node("reg.relu", reg_relu_, {reg_node});
+  reg_trunk_.then(reg_conv).then(reg_relu);
+  int reg_node = graph_.add_node("reg.conv", reg_conv, {node});
+  reg_node = graph_.add_node("reg.relu", reg_relu, {reg_node});
   graph_.add_node("reg.out", reg_out_conv_, {reg_node});
 
   // Focal-loss-friendly bias init: rare positives.
@@ -205,18 +205,10 @@ void Smoke::forward(const Tensor& image, ForwardState& state) {
   Tensor y = stem_.forward(x);
   for (const auto& stage : stages_) y = stage.forward(y);
   y = neck_.forward(y);
-  if (!hm_conv_->training()) {
-    // Eval: each head trunk is its fused conv + ReLU call (what the
-    // Sequential runs), and both read the neck output quantized once.
-    nn::SharedInput neck_share;
-    state.heatmap_logits = hm_out_->forward(
-        hm_conv_->forward(y, {.act = hm_relu_, .share = &neck_share}));
-    state.reg_out = reg_out_conv_->forward(
-        reg_conv_->forward(y, {.act = reg_relu_, .share = &neck_share}));
-    return;
-  }
-  state.heatmap_logits = hm_out_->forward(hm_trunk_.forward(y));
-  state.reg_out = reg_out_conv_->forward(reg_trunk_.forward(y));
+  // Both head trunks read the neck output: a packed engine quantizes it once.
+  nn::SharedInput neck_share;
+  state.heatmap_logits = hm_out_->forward(hm_trunk_.forward(y, &neck_share));
+  state.reg_out = reg_out_conv_->forward(reg_trunk_.forward(y, &neck_share));
 }
 
 void Smoke::backward(const Tensor& grad_hm, const Tensor& grad_reg) {

@@ -131,10 +131,6 @@ class Smoke final : public Detector3D {
   std::vector<Stage> stages_;
   nn::Sequential neck_;
   nn::Sequential hm_trunk_, reg_trunk_;
-  nn::Conv2d* hm_conv_ = nullptr;
-  nn::Relu* hm_relu_ = nullptr;
-  nn::Conv2d* reg_conv_ = nullptr;
-  nn::Relu* reg_relu_ = nullptr;
   nn::Conv2d* hm_out_ = nullptr;
   nn::Conv2d* reg_out_conv_ = nullptr;
   int head_h_ = 0, head_w_ = 0;

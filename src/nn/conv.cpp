@@ -85,6 +85,8 @@ Tensor Conv2d::run_forward(const Tensor& x, const Epilogue* fused) {
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = ops::conv_out_size(h, kernel_, stride_, pad_);
   const std::int64_t ow = ops::conv_out_size(w, kernel_, stride_, pad_);
+  last_in_h_ = h;
+  last_in_w_ = w;
   last_out_h_ = oh;
   last_out_w_ = ow;
   if (training_) input_cache_ = x;

@@ -31,8 +31,11 @@ class Conv2d final : public Layer {
   int stride() const { return stride_; }
   int pad() const { return pad_; }
 
-  /// Output spatial size recorded at the most recent forward pass; the cost
-  /// model reads these after a shape-probing forward.
+  /// Input and output spatial sizes recorded at the most recent forward
+  /// pass; the cost model and the auto-tuner read these after a
+  /// shape-probing forward.
+  std::int64_t last_in_h() const { return last_in_h_; }
+  std::int64_t last_in_w() const { return last_in_w_; }
   std::int64_t last_out_h() const { return last_out_h_; }
   std::int64_t last_out_w() const { return last_out_w_; }
 
@@ -66,6 +69,7 @@ class Conv2d final : public Layer {
 
   // Cached activations for backward.
   Tensor input_cache_;
+  std::int64_t last_in_h_ = 0, last_in_w_ = 0;
   std::int64_t last_out_h_ = 0, last_out_w_ = 0;
 };
 

@@ -71,7 +71,7 @@ void Module::load_state_dict(const std::map<std::string, Tensor>& state) {
   }
 }
 
-Tensor Sequential::forward(const Tensor& x) const {
+Tensor Sequential::forward(const Tensor& x, SharedInput* share) const {
   // In eval mode each Conv2d/Linear absorbs the BatchNorm and ReLU directly
   // after it, so the chain runs as one fused call with no standalone BN or
   // ReLU pass (bitwise the same output). Training keeps every layer separate
@@ -90,9 +90,11 @@ Tensor Sequential::forward(const Tensor& x) const {
       if (l->kind() == LayerKind::kConv2d)
         if ((epi.bn = dynamic_cast<const BatchNorm2d*>(next()))) ++i;
       if ((epi.act = dynamic_cast<const Relu*>(next()))) ++i;
+      if (in == &x) epi.share = share;
     }
-    cur = epi.bn != nullptr || epi.act != nullptr ? l->forward(*in, epi)
-                                                  : l->forward(*in);
+    cur = epi.bn != nullptr || epi.act != nullptr || epi.share != nullptr
+              ? l->forward(*in, epi)
+              : l->forward(*in);
     in = &cur;
   }
   return cur;

@@ -68,7 +68,9 @@ class Sequential {
     return *this;
   }
 
-  Tensor forward(const Tensor& x) const;
+  /// `share`, when non-null, is handed to the first layer's fused call as
+  /// its quantized-input memo (see SharedInput); training ignores it.
+  Tensor forward(const Tensor& x, SharedInput* share = nullptr) const;
   Tensor backward(const Tensor& grad_out) const;
 
   const std::vector<Layer*>& chain() const { return chain_; }

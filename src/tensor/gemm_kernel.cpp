@@ -1691,40 +1691,6 @@ void convert_range(const float* src, std::int64_t count, const QuantGrid& g,
 void fill_tap_row(const float* live, std::int64_t s, std::int64_t o0,
                   std::int64_t o1, std::int64_t count, const QuantGrid& g,
                   std::int8_t* dst) {
-#if defined(UPAQ_S8_AVX512)
-  if (s <= 2) {
-    // The live run goes 16 outputs at a time from o0: plain loads and
-    // stores (every 2nd float picked by a two-source permute at stride 2).
-    // One masked group ends the row: its lanes past o1 load 0.0, which
-    // quantizes to code 0, so it also writes the right border. Masked
-    // accesses cost about twice plain ones here, so there is one per row.
-    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
-                                           20, 22, 24, 26, 28, 30);
-    for (std::int64_t j = 0; j < o0; ++j) dst[j] = 0;
-    std::int64_t i = o0;
-    const float* p = live;
-    for (; i + 16 <= o1; i += 16, p += 16 * s) {
-      __m512 v = _mm512_loadu_ps(p);
-      if (s == 2)  // the float past the last one read may lie past the map
-        v = _mm512_permutex2var_ps(
-            v, even,
-            i + 16 < o1 ? _mm512_loadu_ps(p + 16)
-                        : _mm512_maskz_loadu_ps(low_mask16(15), p + 16));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), quantize16(v, g));
-    }
-    if (i < count) {
-      const std::int64_t r = o1 - i;  // live outputs left, < 16
-      __m512 v = _mm512_maskz_loadu_ps(low_mask16(s == 1 ? r : 2 * r - 1), p);
-      if (s == 2)
-        v = _mm512_permutex2var_ps(
-            v, even, _mm512_maskz_loadu_ps(low_mask16(2 * r - 17), p + 16));
-      _mm_mask_storeu_epi8(dst + i, low_mask16(count - i), quantize16(v, g));
-      if (count - i > 16)
-        std::memset(dst + i + 16, 0, static_cast<std::size_t>(count - i - 16));
-    }
-    return;
-  }
-#endif
   std::memset(dst, 0, static_cast<std::size_t>(o0));
   if (s == 1) {
     convert_range(live, o1 - o0, g, dst + o0);

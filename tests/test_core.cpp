@@ -7,7 +7,9 @@
 #include <filesystem>
 
 #include "core/plan.h"
+#include "core/qmodel.h"
 #include "core/upaq.h"
+#include "data/scene.h"
 #include "detectors/pointpillars.h"
 
 namespace upaq {
@@ -312,6 +314,43 @@ TEST(RebuildMasks, RecoversMaskFromZeroPattern) {
     ASSERT_FALSE(w->mask.empty()) << name;
     EXPECT_EQ(w->mask.count_nonzero(), w->value.count_nonzero());
   }
+}
+
+TEST(TunedLowering, RacesCandidatesOnTheInputMapTheConvSaw) {
+  // block0.conv0 (3x3, stride 2, pad 1) maps a 32- or a 31-wide input to
+  // 16 columns. The packed conv fills its tap layout on another path for an
+  // odd width, so the tuner must race its candidates on the 32-wide map the
+  // layer runs. Each of its forwards leaves that input size on the conv.
+  Rng rng(11);
+  detectors::PointPillars pp(tiny_pp(), rng);
+  pp.set_training(false);
+  Rng srng(5);
+  data::SceneGenerator gen;
+  (void)pp.detect(gen.sample(srng));
+  const nn::Conv2d* conv = nullptr;
+  for (const auto& l : pp.layers())
+    if (l->name() == "block0.conv0")
+      conv = dynamic_cast<const nn::Conv2d*>(l.get());
+  ASSERT_NE(conv, nullptr);
+  ASSERT_EQ(conv->stride(), 2);
+  ASSERT_EQ(conv->last_in_w(), 32);
+  ASSERT_EQ(conv->last_out_w(), 16);
+
+  core::CompressionPlan plan;
+  core::LayerState st;
+  st.compute_bits = 8;
+  plan.layers["block0.conv0"] = st;
+  qnn::TuneOptions opt;
+  opt.reps = 1;
+  opt.evict_bytes = 0;
+  core::TuneReport report;
+  (void)core::lower_quantized_tuned(pp, plan, /*act_bits=*/8, opt, &report);
+  bool raced = false;
+  for (const auto& l : report.layers)
+    if (l.name == "block0.conv0") raced = l.timings.size() >= 2;
+  EXPECT_TRUE(raced);
+  EXPECT_EQ(conv->last_in_h(), 32);
+  EXPECT_EQ(conv->last_in_w(), 32);
 }
 
 }  // namespace
