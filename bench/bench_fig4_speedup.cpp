@@ -36,18 +36,6 @@
 
 namespace {
 
-/// A lowered layer must beat its float execution by this factor in the
-/// in-context probe sweep to stay on the packed path. Survivors carry a
-/// ~10% margin into the final measurement, so the per-layer >= 1.0x floor
-/// gate in scripts/check.sh holds under normal run-to-run noise.
-constexpr double kDemoteFloor = 1.10;
-/// Layers whose float span is under this many ms get a stricter demotion
-/// floor: a ~15 us span is at the mercy of clock granularity and scheduler
-/// jitter, so its measured ratio swings +-20% between sweeps. Keeping such
-/// a layer packed is only worth that gate risk when the win is decisive.
-constexpr double kTinyLayerMs = 0.05;
-constexpr double kDemoteFloorTiny = 1.30;
-
 struct SpeedupRow {
   std::string model, device, framework;
   double speedup = 0.0;
@@ -232,13 +220,12 @@ LatencyStats time_detect(int scenes, int repeats) {
 /// float path runs the fake-quant weights through the float GEMM, then the
 /// model is lowered onto the qnn integer engines and re-timed on identical
 /// scenes. Both paths skip pruned weights; the packed one additionally
-/// executes int8xint4/8 multiplies with integer accumulation.
+/// executes int8 multiplies with integer accumulation.
 struct PackedTiming {
   LatencyStats fp32;    ///< compressed model, float execution
   LatencyStats packed;  ///< compressed model, packed integer execution
   int lowered = 0;      ///< layers running on the integer path
-  int demoted = 0;      ///< layers the in-context probe sent back to float
-  double pack_ms = 0.0;  ///< one-time tune + pack + validate cost
+  double pack_ms = 0.0;  ///< one-time tune + pack cost
   /// Measured per-layer packed-vs-fp32 speedups joined against the device
   /// model's int_gemm_speedup(bits) curve, annotated with the tuner-pinned
   /// kernel per layer.
@@ -261,35 +248,14 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
   // One untimed float sweep records each conv's output geometry — the
   // auto-tuner calibrates at the layer's real column count.
   for (const auto& scene : set) (void)model.detect(scene);
-  // Tuned lowering: every planned layer races {fp32, segment, int8 panel,
-  // int4 panel} and pins the winner. The one-time cost (tuner sweeps +
-  // panel packing) is reported as pack_ms, separate from the steady-state
+  // Tuned lowering: every planned layer races {fp32, segment, int8 panel}
+  // and pins the winner; the tuner is the only arbiter, so every row of the
+  // report below runs the kernel it pinned. The one-time cost (tuner sweeps
+  // + panel packing) is reported as pack_ms, separate from the steady-state
   // per-scene latency the spans measure.
   const auto pack_t0 = std::chrono::steady_clock::now();
   core::QuantizedModel qmodel(model, std::move(result.plan), /*act_bits=*/8,
                               qnn::TuneOptions{});
-  // In-context validation probe: a short interleaved sweep on real scenes,
-  // then every lowered layer that fails to beat its float execution by the
-  // demotion floor goes back to the float path. The load-time race runs on
-  // synthetic inputs in a quiesced loop; the scene sweep is the final
-  // arbiter for near-ties it can mis-rank.
-  {
-    LatencyStats probe_fp32, probe_packed;
-    std::vector<prof::Event> pf, pp;
-    interleaved_sweeps(qmodel, set, /*repeats=*/2, &probe_fp32, &probe_packed,
-                       &pf, &pp);
-    const auto probe = prof::build_int_speedup_report(
-        pf, pp, hw::device_spec(hw::Device::kJetsonOrinNano),
-        qmodel.cost_profile(), 2 * static_cast<int>(set.size()), nullptr);
-    std::vector<std::string> slow;
-    for (const auto& row : probe.rows) {
-      const double floor =
-          row.fp32_ms < kTinyLayerMs ? kDemoteFloorTiny : kDemoteFloor;
-      if (row.measured > 0.0 && row.measured < floor)
-        slow.push_back(row.name);
-    }
-    t.demoted = qmodel.demote(slow);
-  }
   t.pack_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - pack_t0)
                   .count();
@@ -300,29 +266,12 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
   // decorrelating seconds apart.
   interleaved_sweeps(qmodel, set, repeats, &t.fp32, &t.packed, &fp32_events,
                      &packed_events);
-  const auto build_report = [&] {
-    std::map<std::string, std::string> pinned;
-    for (const auto& l : qmodel.tune_report().layers)
-      pinned[l.name] = qnn::tuned_kernel_name(l.kernel);
-    return prof::build_int_speedup_report(
-        fp32_events, packed_events,
-        hw::device_spec(hw::Device::kJetsonOrinNano), qmodel.cost_profile(),
-        repeats * static_cast<int>(set.size()), &pinned);
-  };
-  t.report = build_report();
-  // The final sweep is the last arbiter: any layer still measuring below
-  // parity gets demoted now (its packed engine is gone from the model the
-  // bench leaves behind) and drops out of the integer-path rows — the
-  // report describes the configuration as it ends, and every remaining row
-  // beat the float path in the measurement that produced it.
-  std::vector<std::string> losers;
-  for (const auto& row : t.report.rows)
-    if (row.measured > 0.0 && row.measured < 1.0) losers.push_back(row.name);
-  if (!losers.empty()) {
-    t.demoted += qmodel.demote(losers);
-    t.lowered = qmodel.lowered_layers();
-    t.report = build_report();
-  }
+  std::map<std::string, std::string> pinned;
+  for (const auto& l : qmodel.tune_report().layers)
+    pinned[l.name] = qnn::tuned_kernel_name(l.kernel);
+  t.report = prof::build_int_speedup_report(
+      fp32_events, packed_events, hw::device_spec(hw::Device::kJetsonOrinNano),
+      qmodel.cost_profile(), repeats * static_cast<int>(set.size()), &pinned);
   return t;
 }
 
@@ -431,9 +380,9 @@ std::vector<PatternRow> measure_pattern_speedups(int reps) {
     row.segment_ms = seg_best;
     row.speedup = seg_best > 0.0 ? panel_best / seg_best : 0.0;
 
-    // Auto-tuner race on the same pruned weight: float, segment, int8/int4
-    // panels — the segment kernel must win on its own cold-cache timing,
-    // not by fiat.
+    // Auto-tuner race on the same pruned weight: float, segment, int8 panel
+    // — the segment kernel must win on its own cold-cache timing, not by
+    // fiat.
     spec.mode = qnn::PackedGemm::PanelMode::kAuto;
     qnn::TuneOptions topt;
     topt.reps = 3;
@@ -471,12 +420,11 @@ int main() {
 
   const PackedTiming packed = time_packed_ms(/*scenes=*/4, /*repeats=*/5);
   std::printf("Measured UPAQ(HCK) compressed detect(): p50 %.2f ms/scene "
-              "fp32, p50 %.2f ms/scene packed int8/int4 "
-              "(%d layers on integer path, %d demoted by the in-context "
-              "probe, %.2f GOP/s integer GEMM, one-time tune+pack+validate "
-              "%.2f ms)\n",
+              "fp32, p50 %.2f ms/scene packed integer "
+              "(%d layers on integer path, %.2f GOP/s integer GEMM, "
+              "one-time tune+pack %.2f ms)\n",
               packed.fp32.p50_ms, packed.packed.p50_ms, packed.lowered,
-              packed.demoted, packed.packed.int_gemm_gops, packed.pack_ms);
+              packed.packed.int_gemm_gops, packed.pack_ms);
   std::printf("\nPer-layer packed-vs-fp32 speedup, measured (host CPU) vs "
               "modeled int_gemm_speedup (Jetson Orin Nano):\n%s\n",
               prof::int_speedup_table(packed.report).c_str());
@@ -533,27 +481,27 @@ int main() {
                  static_cast<unsigned long long>(ws.block_allocs),
                  static_cast<unsigned long long>(ws.reuses));
     std::fprintf(json, "  \"packed_lowered_layers\": %d,\n", packed.lowered);
-    std::fprintf(json, "  \"packed_demoted_layers\": %d,\n", packed.demoted);
     std::fprintf(json, "  \"packed_vs_fp32_speedup\": %.4f,\n", speedup);
     std::fprintf(json, "  \"pack_ms\": %.4f,\n", packed.pack_ms);
     // Aggregates over the measured per-layer rows: the floor over every
-    // integer-path layer, and the geomean over the 4-bit rows (the layers
-    // the int4 work targets). Layers the tuner pinned to float are not
-    // integer-path rows, so they cannot drag either number down.
-    double min_speedup = 0.0, int4_log_sum = 0.0;
-    int int4_rows = 0;
+    // integer-path layer, and the geomean over the rows the tuner pinned to
+    // the segment kernel. Nothing demotes a layer after the tuner, so a row
+    // below 1.0x is a mis-pin that scripts/check.sh reports.
+    double min_speedup = 0.0, segment_log_sum = 0.0;
+    int segment_rows = 0;
     for (const auto& r : packed.report.rows) {
       if (r.measured <= 0.0) continue;
       if (min_speedup == 0.0 || r.measured < min_speedup)
         min_speedup = r.measured;
-      if (r.weight_bits <= 4) {
-        int4_log_sum += std::log(r.measured);
-        ++int4_rows;
+      if (r.kernel == qnn::tuned_kernel_name(qnn::TunedKernel::kSegment)) {
+        segment_log_sum += std::log(r.measured);
+        ++segment_rows;
       }
     }
     std::fprintf(json, "  \"int_speedup_min\": %.4f,\n", min_speedup);
-    std::fprintf(json, "  \"int4_geomean_speedup\": %.4f,\n",
-                 int4_rows > 0 ? std::exp(int4_log_sum / int4_rows) : 0.0);
+    std::fprintf(json, "  \"segment_geomean_speedup\": %.4f,\n",
+                 segment_rows > 0 ? std::exp(segment_log_sum / segment_rows)
+                                  : 0.0);
     std::fprintf(json, "  \"pattern_sparse_geomean_speedup\": %.4f,\n",
                  pattern_geomean);
     std::fprintf(json, "  \"pattern_segment_pinned_layers\": %d,\n",

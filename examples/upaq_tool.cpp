@@ -47,9 +47,9 @@
 // --json. --check self-validates the exposition (the CI metrics smoke).
 //
 // `tune` compresses the chosen detector, runs the per-layer kernel
-// auto-tuner (fp32 blocked vs entry-skip segment vs int8 panel vs int4
-// panel, timed on the real weights), and prints each layer's candidate
-// timings and the pinned winner.
+// auto-tuner (fp32 blocked vs entry-skip segment vs int8 panel, timed on
+// the real weights), and prints each layer's candidate timings and the
+// pinned winner.
 //
 // `--json` on profile / serve / scenarios / tune switches stdout to a single
 // JSON document (the human tables go away), with the obs snapshot embedded.
@@ -670,11 +670,11 @@ int run_tune(int argc, char** argv) {
                 "layers lowered in %.1f ms\n\n",
                 model->model_name(), cfg.nonzeros == 2 ? "HCK" : "LCK", reps,
                 lowered, report.layers.size(), tune_ms);
-    std::printf("%-20s %-13s %12s %12s %12s %12s  %s\n", "layer", "pinned",
-                "float us", "segment us", "int8 us", "int4 us",
-                "pattern (pruned)");
+    std::printf("%-20s %-13s %12s %12s %12s  %s\n", "layer", "pinned",
+                "float us", "segment us", "int8 us", "pattern (pruned)");
     for (const auto& l : report.layers) {
-      double us[4] = {0.0, 0.0, 0.0, 0.0};
+      // One cell per TunedKernel value, indexed by the enum.
+      double us[static_cast<int>(qnn::TunedKernel::kInt8Panel) + 1] = {};
       for (const auto& c : l.timings)
         us[static_cast<int>(c.kernel)] = static_cast<double>(c.ns) * 1e-3;
       auto cell = [&](int k, char* buf, std::size_t n) {
@@ -685,16 +685,15 @@ int run_tune(int argc, char** argv) {
         return buf;
       };
       const core::LayerState* st = core::find_state(result.plan, l.name);
-      char b0[16], b1[16], b2[16], b3[16], pat[64];
+      char b0[16], b1[16], b2[16], pat[64];
       if (st != nullptr && !st->pattern.empty())
         std::snprintf(pat, sizeof(pat), "%s (%.2f)", st->pattern.c_str(),
                       st->sparsity);
       else
         std::snprintf(pat, sizeof(pat), "-");
-      std::printf("%-20s %-13s %s %s %s %s  %s\n", l.name.c_str(),
+      std::printf("%-20s %-13s %s %s %s  %s\n", l.name.c_str(),
                   qnn::tuned_kernel_name(l.kernel), cell(0, b0, sizeof(b0)),
-                  cell(1, b1, sizeof(b1)), cell(2, b2, sizeof(b2)),
-                  cell(3, b3, sizeof(b3)), pat);
+                  cell(1, b1, sizeof(b1)), cell(2, b2, sizeof(b2)), pat);
     }
     std::printf("\n(a \"float\" pin keeps that layer on the fp32 fake-quant "
                 "path; timings are GEMM-only at the layer's calibrated "

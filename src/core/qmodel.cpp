@@ -207,27 +207,6 @@ void QuantizedModel::finish_lowering(int act_bits) {
 
 QuantizedModel::~QuantizedModel() { clear_engines(inner_); }
 
-int QuantizedModel::demote(const std::vector<std::string>& names) {
-  UPAQ_CHECK(packed_, "demote: flip set_packed(true) first");
-  const std::set<std::string> drop(names.begin(), names.end());
-  int demoted = 0;
-  for (const auto& layer : inner_.layers()) {
-    if (layer->engine() == nullptr || drop.count(layer->name()) == 0)
-      continue;
-    layer->set_engine(nullptr);
-    --lowered_;
-    ++demoted;
-    for (auto& entry : tune_report_.layers)
-      if (entry.name == layer->name()) {
-        entry.kernel = qnn::TunedKernel::kFloat;
-        entry.lowered = false;
-      }
-    obs::log_event(obs::Level::kInfo, "autotune.demote",
-                   {obs::fstr("layer", layer->name())});
-  }
-  return demoted;
-}
-
 void QuantizedModel::set_packed(bool packed) {
   if (packed == packed_) return;
   if (!packed) {

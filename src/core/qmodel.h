@@ -6,7 +6,7 @@
 // and attaches a PackedConv2d / PackedLinear engine to every planned Conv2d
 // and Linear (the same Algorithm-1 root/leaf replication rule as apply_plan,
 // via find_state). The wrapper then behaves as a Detector3D whose detect()
-// executes int8/int4 GEMMs with integer accumulation, while training-path
+// executes integer GEMMs with integer accumulation, while training-path
 // entry points are disabled — the packed engines carry no gradients.
 #pragma once
 
@@ -46,9 +46,9 @@ struct TuneReport {
 };
 
 /// lower_quantized with the empirical per-layer auto-tuner in the loop: each
-/// planned Conv2d races {fp32 blocked, entry-skip segment, int8 panel, int4
-/// panel} on its real weight at its last-seen output geometry (256 columns
-/// if the model has not been forwarded yet) and is pinned to the winner —
+/// planned Conv2d races {fp32 blocked, entry-skip segment, int8 panel} on
+/// its real weight at its last-seen output geometry (256 columns if the
+/// model has not been forwarded yet) and is pinned to the winner —
 /// including NOT lowering it when the float GEMM wins. Linear layers run the
 /// transposed batch-dot path, which has a single integer kernel; they lower
 /// untimed. Returns the number of layers lowered and, when `report` is
@@ -103,15 +103,6 @@ class QuantizedModel final : public detectors::Detector3D {
   /// machine-noise environment instead of decorrelating seconds apart.
   void set_packed(bool packed);
   bool packed() const { return packed_; }
-
-  /// In-context demotion: detaches the packed engine of every named layer,
-  /// returning it to the float path, and rewrites its tune_report() entry
-  /// to a kFloat pin (lowered=false). The load-time race times candidates
-  /// on synthetic inputs; callers that re-measure the lowered model on real
-  /// scenes (bench_fig4's validation sweep) use this to drop layers the
-  /// packed path does not actually beat in context. Returns the number of
-  /// layers demoted and logs one obs "autotune.demote" event per layer.
-  int demote(const std::vector<std::string>& names);
 
  private:
   void finish_lowering(int act_bits);

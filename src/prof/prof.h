@@ -57,7 +57,7 @@ enum class Counter : int {
   kServeBatches,      ///< serve: cross-scene batches formed
   kServeScenes,       ///< serve: scenes completed through the pipeline
   kServeShed,         ///< serve: requests shed (capacity overflow + deadline)
-  kPanelBuilds,       ///< packed-weight panel decodes/packs (qnn cache misses)
+  kPanelBuilds,       ///< packed-weight decodes/packs (qnn::build_gemm calls)
   kCount,
 };
 

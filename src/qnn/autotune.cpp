@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "obs/obs.h"
-#include "qnn/qcache.h"
 #include "tensor/check.h"
 #include "tensor/gemm_kernel.h"
 
@@ -17,7 +16,6 @@ const char* tuned_kernel_name(TunedKernel k) {
     case TunedKernel::kFloat: return "float";
     case TunedKernel::kSegment: return "segment";
     case TunedKernel::kInt8Panel: return "int8_panel";
-    case TunedKernel::kInt4Panel: return "int4_panel";
   }
   return "?";
 }
@@ -26,7 +24,6 @@ PackedGemm::PanelMode tuned_mode(TunedKernel k) {
   switch (k) {
     case TunedKernel::kSegment: return PackedGemm::PanelMode::kForceSegment;
     case TunedKernel::kInt8Panel: return PackedGemm::PanelMode::kForceInt8;
-    case TunedKernel::kInt4Panel: return PackedGemm::PanelMode::kForceInt4;
     case TunedKernel::kFloat: break;
   }
   UPAQ_CHECK(false, "tuned_mode: kFloat pins the fp32 path, not a PanelMode");
@@ -116,7 +113,6 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
     time_cand(TunedKernel::kFloat);
     time_cand(TunedKernel::kSegment);
     if (spec.weight_bits <= 8) time_cand(TunedKernel::kInt8Panel);
-    if (spec.weight_bits <= 4) time_cand(TunedKernel::kInt4Panel);
   } else {
     // Proxy mode (no layer at hand): deterministic synthetic int8 activation
     // block, scale 1.0 — the kernels' cost depends on shapes and the
@@ -158,30 +154,11 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
       d.candidates.push_back({TunedKernel::kFloat, ns});
     }
 
-    // Integer candidates, built through the PanelCache with forced modes so
-    // the winner's packed image is already cached when lowering attaches the
-    // engine. Per forward the panel paths quantize the input map to int8 and
-    // (for k>1 convs) gather int8 codes; both ride inside the timed body so
-    // the float-vs-int ranking matches the end-to-end layer cost.
-    std::vector<std::int8_t> map_codes(static_cast<std::size_t>(map_n));
-    std::vector<std::int8_t> qx_src(expand > 1 ? qx
-                                               : std::vector<std::int8_t>());
+    // Integer candidates, built with forced modes.
     const auto build = [&](TunedKernel tk) {
-      return PanelCache::instance().get_or_build(
-          w, rows, k, spec.weight_bits, spec.group_size, spec.format,
-          tuned_mode(tk));
-    };
-    const auto time_panel = [&](TunedKernel tk) {
-      const auto g = build(tk);
-      const std::uint64_t ns = time_min([&] {
-        (void)gemm::s8_quantize(map.data(), map_n, spec.act_bits,
-                                map_codes.data());
-        if (expand > 1)
-          std::memcpy(qx.data(), qx_src.data(),
-                      static_cast<std::size_t>(k * cn));
-        g->run(qx.data(), 1.0f, cn, nullptr, y.data());
-      });
-      d.candidates.push_back({tk, ns});
+      LowerSpec forced = spec;
+      forced.mode = tuned_mode(tk);
+      return build_gemm(w, rows, k, forced);
     };
     // The segment kernel reads a conv's taps in place: it quantizes the map
     // straight into the tap layout and runs the implicit GEMM over it. The
@@ -189,7 +166,7 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
     // near-square output of exactly cn columns; a weight that is no such
     // conv times the explicit matrix (the 1x1 / Linear case).
     {
-      const auto g = build(TunedKernel::kSegment);
+      const PackedGemm g = build(TunedKernel::kSegment);
       int kk = 1;
       while ((kk + 1) * (kk + 1) <= expand) ++kk;
       const bool conv = expand > 1 && kk * kk == expand && k % expand == 0;
@@ -208,13 +185,29 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
       const std::uint64_t ns = time_min([&] {
         const float sx = gemm::s8_quantize_taps(tap_map.data(), t,
                                                 spec.act_bits, layout.data());
-        g->run_taps(gemm::s8_layout_taps(t, layout.data(), off.data()), sx,
-                    nullptr, y.data());
+        g.run_taps(gemm::s8_layout_taps(t, layout.data(), off.data()), sx,
+                   nullptr, y.data());
       });
       d.candidates.push_back({TunedKernel::kSegment, ns});
     }
-    if (spec.weight_bits <= 8) time_panel(TunedKernel::kInt8Panel);
-    if (spec.weight_bits <= 4) time_panel(TunedKernel::kInt4Panel);
+    // The int8 panel quantizes the input map to int8 and (for k>1 convs)
+    // gathers int8 codes per forward; both ride inside the timed body so
+    // the float-vs-int ranking matches the end-to-end layer cost.
+    if (spec.weight_bits <= 8) {
+      const PackedGemm g = build(TunedKernel::kInt8Panel);
+      std::vector<std::int8_t> map_codes(static_cast<std::size_t>(map_n));
+      const std::vector<std::int8_t> qx_src(
+          expand > 1 ? qx : std::vector<std::int8_t>());
+      const std::uint64_t ns = time_min([&] {
+        (void)gemm::s8_quantize(map.data(), map_n, spec.act_bits,
+                                map_codes.data());
+        if (expand > 1)
+          std::memcpy(qx.data(), qx_src.data(),
+                      static_cast<std::size_t>(k * cn));
+        g.run(qx.data(), 1.0f, cn, nullptr, y.data());
+      });
+      d.candidates.push_back({TunedKernel::kInt8Panel, ns});
+    }
   }
   if (!thrash.empty()) sink ^= thrash[thrash.size() / 2];
   volatile std::uint64_t sink_out = sink;  // observable: loops survive DCE

@@ -29,7 +29,7 @@ namespace upaq::qnn {
 
 /// The tuner's kernel vocabulary. kFloat means "do not lower this layer" —
 /// the fake-quant fp32 path (blocked GEMM over pre-packed panels) wins.
-enum class TunedKernel : int { kFloat = 0, kSegment, kInt8Panel, kInt4Panel };
+enum class TunedKernel : int { kFloat = 0, kSegment, kInt8Panel };
 
 const char* tuned_kernel_name(TunedKernel k);
 
@@ -97,11 +97,10 @@ struct TuneOptions {
 
 /// Times every candidate kernel for one lowered GEMM of geometry
 /// (rows, k) x (k, n) under `spec` and returns the ranked decision. Fixed
-/// candidate order: float, segment, int8 panel, int4 panel (the last only
-/// when spec.weight_bits <= 4); ties keep the earlier candidate. Integer
-/// candidates are built through the PanelCache with forced modes, so the
-/// winner's packed image stays cached for the subsequent lowering. Emits
-/// one obs "autotune.pin" event.
+/// candidate order: float, segment, int8 panel (the last only when
+/// spec.weight_bits <= 8); ties keep the earlier candidate. Integer
+/// candidates are built with forced modes. Emits one obs "autotune.pin"
+/// event.
 ///
 /// Each candidate's timed body includes the per-forward work that path pays
 /// AROUND the GEMM, not just the GEMM itself — otherwise the ranking

@@ -123,28 +123,20 @@ PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
         static_cast<std::int64_t>(segs_.size());
 
   // Kernel dispatch (PanelMode docs): dense-ish int8-representable weights
-  // get a blocked panel kernel — the native nibble kernel when the codes fit
-  // 4 bits — and sparse matrices keep the segment kernel where the zeros
-  // cost nothing. The force modes pin one kernel for the tuner's candidate
-  // timings and the cross-kernel equivalence tests.
+  // get the blocked int8 panel kernel and sparse matrices keep the segment
+  // kernel where the zeros cost nothing. The force modes pin one kernel for
+  // the tuner's candidate timings and the cross-kernel equivalence tests.
   const bool fits_i8 = bits_ <= 8;
-  const bool fits_i4 = bits_ <= 4;
   const double zero_frac =
       1.0 - static_cast<double>(entry_count()) / static_cast<double>(rows * k);
   const bool want_panel =
-      mode == PanelMode::kForcePanel || mode == PanelMode::kForceInt8 ||
-      mode == PanelMode::kForceInt4 ||
+      mode == PanelMode::kForceInt8 ||
       (mode == PanelMode::kAuto && fits_i8 &&
        zero_frac <= gemm::kSparseZeroFraction);
   if (want_panel) {
     UPAQ_CHECK(fits_i8, "PackedGemm: panel path needs weight bits <= 8, got " +
                             std::to_string(bits_));
-    const bool four = mode == PanelMode::kForceInt4 ||
-                      (mode != PanelMode::kForceInt8 && fits_i4);
-    UPAQ_CHECK(!four || fits_i4,
-               "PackedGemm: int4 panel needs weight bits <= 4, got " +
-                   std::to_string(bits_));
-    build_panel(g, four);
+    build_panel(g);
     return;
   }
   // The segment kernel's fast path reads entry pairs with their weight words
@@ -155,7 +147,7 @@ PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
                                  static_cast<std::int64_t>(segs_.size()));
 }
 
-void PackedGemm::build_panel(std::int64_t group, bool four) {
+void PackedGemm::build_panel(std::int64_t group) {
   // Decode the surviving codes ONCE into a dense row-major int8 matrix
   // (bits_ <= 8 guarantees |code| <= 127) — steady-state run() calls never
   // touch the bit-packed representation again.
@@ -176,17 +168,13 @@ void PackedGemm::build_panel(std::int64_t group, bool four) {
   // grid drifts across rows and the single safe slab is the whole k.
   const std::int64_t p = (group > 0 && k_ % group == 0) ? group : k_;
   const std::int64_t slab = std::min(k_, std::max(p, (gemm::kQKC / p) * p));
-  if (four) {
-    gemm::q4_pack_a(dense.data(), rows_, k_, slab, panel4_);
-  } else {
-    gemm::q8_pack_a(dense.data(), rows_, k_, slab, panel_);
-  }
+  gemm::q8_pack_a(dense.data(), rows_, k_, slab, panel_);
   // Requantization schedule: one flush event per segment, firing at the
   // column after the segment's last entry. All-zero groups yield no segment
   // and thus no event — exactly like the segment engine, which never
   // requantizes them (flushing an all-zero accumulator could still flip a
   // -0.0 bias fill to +0.0).
-  auto& events = four ? panel4_.events : panel_.events;
+  auto& events = panel_.events;
   const std::int64_t panels = (rows_ + gemm::kQMR - 1) / gemm::kQMR;
   events.assign(static_cast<std::size_t>(panels), {});
   for (std::int64_t r = 0; r < rows_; ++r)
@@ -242,11 +230,7 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
   } else {
     parallel::parallel_for(0, rows_, kRowGrain, fill);
   }
-  if (!panel4_.empty()) {
-    gemm::q4_gemm_panel(panel4_, qx, sx, n, py, epi);
-  } else {
-    gemm::q8_gemm_panel(panel_, qx, sx, n, py, epi);
-  }
+  gemm::q8_gemm_panel(panel_, qx, sx, n, py, epi);
 }
 
 void PackedGemm::run_taps(const gemm::QTaps& x, float sx, const float* bias,

@@ -67,19 +67,16 @@ class PackedGemm {
  public:
   /// run() execution strategy. kAuto picks per matrix: codes that fit int8
   /// (weight bits <= 8) and are dense enough (zero fraction at or below
-  /// gemm::kSparseZeroFraction) take a blocked panel kernel — the native
-  /// nibble-packed int4 panel when bits <= 4, the pair-interleaved int8
-  /// panel otherwise; sparse matrices (the pattern-pruned convs among them)
-  /// keep the entry-skipping segment kernel, where the zeros are never
-  /// touched. kForcePanel follows the bit-width split; kForceInt8 /
-  /// kForceInt4 pin one specific kernel (the auto-tuner's candidates, and
-  /// the cross-kernel equivalence tests). All paths are bitwise identical by
-  /// construction, so forcing is never needed for correctness.
-  enum class PanelMode { kAuto, kForcePanel, kForceSegment, kForceInt8,
-                         kForceInt4 };
+  /// gemm::kSparseZeroFraction) take the blocked pair-interleaved int8
+  /// panel; sparse matrices (the pattern-pruned convs among them) keep the
+  /// entry-skipping segment kernel, where the zeros are never touched.
+  /// kForceSegment / kForceInt8 pin one kernel (the auto-tuner's candidates,
+  /// and the cross-kernel equivalence tests). Both kernels are bitwise
+  /// identical by construction, so forcing is never needed for correctness.
+  enum class PanelMode { kAuto, kForceSegment, kForceInt8 };
 
   /// Which kernel run() dispatches to (the auto-tuner's vocabulary).
-  enum class KernelKind { kSegment, kInt8Panel, kInt4Panel };
+  enum class KernelKind { kSegment, kInt8Panel };
 
   /// Interprets `w` as a (rows, k) row-major 2-D weight; rows * k must equal
   /// w's element count. Scale groups that straddle row boundaries are split
@@ -132,20 +129,18 @@ class PackedGemm {
   /// Largest per-group weight scale: max_scale * act_scale is the coarsest
   /// requantization step of an output (the equivalence tolerance unit).
   float max_weight_scale() const { return max_scale_; }
-  /// True when run() dispatches to one of the blocked panel kernels.
-  bool panel_active() const { return !panel_.empty() || !panel4_.empty(); }
+  /// True when run() dispatches to the blocked int8 panel kernel.
+  bool panel_active() const { return !panel_.empty(); }
   /// The kernel run() dispatches to.
   KernelKind kernel_kind() const {
-    if (!panel4_.empty()) return KernelKind::kInt4Panel;
-    if (!panel_.empty()) return KernelKind::kInt8Panel;
-    return KernelKind::kSegment;
+    return panel_active() ? KernelKind::kInt8Panel : KernelKind::kSegment;
   }
 
  private:
   /// Weight scale + entry range [begin, end) of one group slice of a row.
   using Segment = gemm::QSegment;
 
-  void build_panel(std::int64_t group, bool four);
+  void build_panel(std::int64_t group);
   /// prof counters of one run over n output columns.
   void count_run(std::int64_t n) const;
 
@@ -156,8 +151,7 @@ class PackedGemm {
   /// Segment fast-path operands (non-empty iff run() takes the segment
   /// kernel, every code fits int8 and gemm::s8_pair_kernel()).
   gemm::QPairTable pairs_;
-  gemm::QPanelA panel_;    ///< non-empty iff run() takes the int8 panel kernel
-  gemm::Q4PanelA panel4_;  ///< non-empty iff run() takes the int4 panel kernel
+  gemm::QPanelA panel_;  ///< non-empty iff run() takes the int8 panel kernel
   std::int64_t rows_ = 0, k_ = 0;
   int bits_ = 8;
   float max_scale_ = 0.0f;

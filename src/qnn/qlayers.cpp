@@ -5,12 +5,19 @@
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
-#include "qnn/qcache.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 
 namespace upaq::qnn {
+
+PackedGemm build_gemm(const nn::Parameter& w, std::int64_t rows,
+                      std::int64_t k, const LowerSpec& spec) {
+  prof::add(prof::Counter::kPanelBuilds, 1);
+  return PackedGemm(
+      pack(w.value, spec.weight_bits, spec.group_size, spec.format, w.mask),
+      rows, k, spec.mode);
+}
 
 PackedConv2d::PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec)
     : in_c_(conv.in_channels()),
@@ -20,19 +27,15 @@ PackedConv2d::PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec)
       pad_(conv.pad()),
       weight_(&conv.weight()),
       spec_(spec),
-      gemm_(PanelCache::instance().get_or_build(
-          conv.weight(), conv.out_channels(),
-          conv.in_channels() * conv.kernel() * conv.kernel(),
-          spec.weight_bits, spec.group_size, spec.format, spec.mode)),
+      gemm_(build_gemm(conv.weight(), out_c_, in_c_ * kernel_ * kernel_,
+                       spec)),
       packed_version_(conv.weight().version),
       act_bits_(spec.act_bits) {
   if (const nn::Parameter* b = conv.bias()) bias_ = b->value;
 }
 
 void PackedConv2d::refresh() {
-  gemm_ = PanelCache::instance().get_or_build(
-      *weight_, out_c_, in_c_ * kernel_ * kernel_, spec_.weight_bits,
-      spec_.group_size, spec_.format, spec_.mode);
+  gemm_ = build_gemm(*weight_, out_c_, in_c_ * kernel_ * kernel_, spec_);
   packed_version_ = weight_->version;
 }
 
@@ -40,7 +43,7 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi,
                              nn::SharedInput* share) {
   prof::Span span(engine_name());
   // Staleness check runs serially, before the batch fan-out: a weight
-  // mutated after lowering repacks exactly once through the cache.
+  // mutated after lowering repacks exactly once.
   if (weight_->version != packed_version_) refresh();
   UPAQ_CHECK(x.rank() == 4 && x.dim(1) == in_c_,
              "PackedConv2d expects (N," + std::to_string(in_c_) + ",H,W)");
@@ -61,7 +64,7 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi,
   // code 0), and the integer GEMM is exact, so every layout gives the same
   // bits.
   const bool implicit =
-      gemm_->kernel_kind() == PackedGemm::KernelKind::kSegment;
+      gemm_.kernel_kind() == PackedGemm::KernelKind::kSegment;
   const bool gather =
       !implicit && !(kernel_ == 1 && stride_ == 1 && pad_ == 0);
   // The layout the codes live in: the flat map is the 1x1 layout.
@@ -117,11 +120,11 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi,
       }
       if (implicit) {
         prof::Span gspan("qnn.qgemm");
-        gemm_->run_taps(gemm::s8_layout_taps(t, qcodes, off), sx, bias, ys,
-                        ep);
+        gemm_.run_taps(gemm::s8_layout_taps(t, qcodes, off), sx, bias, ys,
+                       ep);
       } else if (!gather) {
         prof::Span gspan("qnn.qgemm");
-        gemm_->run(qcodes, sx, oh * ow, bias, ys, ep);
+        gemm_.run(qcodes, sx, oh * ow, bias, ys, ep);
       } else {
         std::int8_t* cols = ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);
         {
@@ -133,7 +136,7 @@ Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue* epi,
                           cols);
         }
         prof::Span gspan("qnn.qgemm");
-        gemm_->run(cols, sx, oh * ow, bias, ys, ep);
+        gemm_.run(cols, sx, oh * ow, bias, ys, ep);
       }
     }
   });
@@ -149,19 +152,14 @@ PackedLinear::PackedLinear(const nn::Linear& linear, const LowerSpec& spec)
       out_f_(linear.out_features()),
       weight_(&linear.weight()),
       spec_(spec),
-      gemm_(PanelCache::instance().get_or_build(
-          linear.weight(), linear.out_features(), linear.in_features(),
-          spec.weight_bits, spec.group_size, spec.format, spec.mode)),
+      gemm_(build_gemm(linear.weight(), out_f_, in_f_, spec)),
       packed_version_(linear.weight().version),
       act_bits_(spec.act_bits) {
   if (const nn::Parameter* b = linear.bias()) bias_ = b->value;
 }
 
 void PackedLinear::refresh() {
-  gemm_ = PanelCache::instance().get_or_build(*weight_, out_f_, in_f_,
-                                              spec_.weight_bits,
-                                              spec_.group_size, spec_.format,
-                                              spec_.mode);
+  gemm_ = build_gemm(*weight_, out_f_, in_f_, spec_);
   packed_version_ = weight_->version;
 }
 
@@ -175,8 +173,8 @@ Tensor PackedLinear::forward(const Tensor& x, const gemm::Epilogue* epi,
   workspace::Scope ws;
   std::int8_t* qcodes = ws.i8(x.numel());
   const float sx = quantize_acts_into(x.data(), x.numel(), act_bits_, qcodes);
-  gemm_->run_t(qcodes, sx, x.dim(0), bias_.empty() ? nullptr : bias_.data(),
-               out.data(), epi);
+  gemm_.run_t(qcodes, sx, x.dim(0), bias_.empty() ? nullptr : bias_.data(),
+              out.data(), epi);
   return out;
 }
 

@@ -7,8 +7,6 @@
 // inference-only).
 #pragma once
 
-#include <memory>
-
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "qnn/qgemm.h"
@@ -27,13 +25,17 @@ struct LowerSpec {
   PackedGemm::PanelMode mode = PackedGemm::PanelMode::kAuto;
 };
 
+/// Packs `w`'s current value (honouring its pruning mask) under `spec` into
+/// a (rows, k) PackedGemm. Counts one prof::kPanelBuilds per call.
+PackedGemm build_gemm(const nn::Parameter& w, std::int64_t rows,
+                      std::int64_t k, const LowerSpec& spec);
+
 class PackedConv2d final : public nn::ForwardEngine {
  public:
-  /// Packs the conv's current weight (honouring its pruning mask) through
-  /// the process-wide PanelCache and captures geometry + bias. The packed
-  /// codes track the weight parameter: forward() revalidates against
-  /// Parameter::version and rebuilds through the cache when the weight was
-  /// mutated after lowering.
+  /// Packs the conv's current weight into the engine's own PackedGemm and
+  /// captures geometry + bias. The packed codes track the weight parameter:
+  /// forward() revalidates against Parameter::version and rebuilds when the
+  /// weight was mutated after lowering.
   PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec);
 
   using nn::ForwardEngine::forward;
@@ -43,7 +45,7 @@ class PackedConv2d final : public nn::ForwardEngine {
                  nn::SharedInput* share) override;
   const char* engine_name() const override { return "qnn.packed_conv2d"; }
 
-  const PackedGemm& gemm() const { return *gemm_; }
+  const PackedGemm& gemm() const { return gemm_; }
   int act_bits() const { return act_bits_; }
 
  private:
@@ -54,7 +56,7 @@ class PackedConv2d final : public nn::ForwardEngine {
   Tensor bias_;  ///< empty when the conv has none
   const nn::Parameter* weight_;
   LowerSpec spec_;
-  std::shared_ptr<const PackedGemm> gemm_;
+  PackedGemm gemm_;
   std::uint64_t packed_version_;
   int act_bits_;
 };
@@ -68,7 +70,7 @@ class PackedLinear final : public nn::ForwardEngine {
                  nn::SharedInput* share) override;
   const char* engine_name() const override { return "qnn.packed_linear"; }
 
-  const PackedGemm& gemm() const { return *gemm_; }
+  const PackedGemm& gemm() const { return gemm_; }
   int act_bits() const { return act_bits_; }
 
  private:
@@ -78,7 +80,7 @@ class PackedLinear final : public nn::ForwardEngine {
   Tensor bias_;
   const nn::Parameter* weight_;
   LowerSpec spec_;
-  std::shared_ptr<const PackedGemm> gemm_;
+  PackedGemm gemm_;
   std::uint64_t packed_version_;
   int act_bits_;
 };

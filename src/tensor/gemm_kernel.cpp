@@ -843,49 +843,6 @@ void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
   }
 }
 
-void q4_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
-               std::int64_t slab, Q4PanelA& out) {
-  out.m = m;
-  out.k = k;
-  out.slab = slab;
-  const std::int64_t mpad = round_up(m, kQMR);
-  const std::int64_t row_panels = mpad / kQMR;
-  std::int64_t total = 0;
-  for (std::int64_t pc = 0; pc < k; pc += slab) {
-    const std::int64_t kc = std::min(slab, k - pc);
-    total += row_panels * ((kc + 3) / 4) * (2 * kQMR);
-  }
-  // +4 trailing slack bytes: the micro-kernel's 16-byte quad loads read past
-  // each 12-byte quad; the overhang lands in the unused row-6/7 permute
-  // slots, and the global tail needs real readable bytes.
-  out.data.assign(static_cast<std::size_t>(total + 4), 0);
-  std::int8_t* dst = out.data.data();
-  for (std::int64_t pc = 0; pc < k; pc += slab) {
-    const std::int64_t kc = std::min(slab, k - pc);
-    const std::int64_t qn = (kc + 3) / 4;
-    for (std::int64_t ip = 0; ip < row_panels; ++ip) {
-      std::int8_t* panel = dst + ip * qn * 2 * kQMR;
-      for (std::int64_t q = 0; q < qn; ++q)
-        for (std::int64_t r = 0; r < kQMR; ++r) {
-          const std::int64_t row = ip * kQMR + r;
-          for (int half = 0; half < 2; ++half) {
-            // Biased nibbles u = code + 8 in [1, 15]; stored 0 marks padding
-            // (phantom k positions and rows beyond m), which the kernel's
-            // bias correction / padding rules turn into an exact no-op.
-            const std::int64_t p0 = q * 4 + 2 * half;
-            const auto nib = [&](std::int64_t p) -> int {
-              if (row >= m || p >= kc) return 0;
-              return static_cast<int>(a[row * k + pc + p]) + 8;
-            };
-            panel[q * 2 * kQMR + 2 * r + half] =
-                static_cast<std::int8_t>(nib(p0) | (nib(p0 + 1) << 4));
-          }
-        }
-    }
-    dst += row_panels * qn * 2 * kQMR;
-  }
-}
-
 namespace {
 
 /// Packs a kc x nw int8 B slab (columns [jc, jc+nw), k-rows [pc, pc+kc))
@@ -1118,297 +1075,7 @@ void q8_micro_tile(const std::int8_t* ap, const std::int8_t* bp,
 
 #endif  // UPAQ_S8_VEC && __AVX2__
 
-// ------------------------------------------------------- int4 panel kernels
-
-/// Packs a kc x nw int8 B slab into quad-major kQNR-column panels for the
-/// int4 kernel: each quad of 4 k-rows occupies 32 bytes, column j's dword
-/// holding the 4 activation bytes x[p0..p3][j] (phantom rows zero-filled) —
-/// exactly the shape vpmaddubsw consumes against a broadcast nibble row.
-void q4_pack_b_slab(std::int8_t* dst, const std::int8_t* b, std::int64_t n,
-                    std::int64_t pc, std::int64_t kc, std::int64_t jc,
-                    std::int64_t nw) {
-  const std::int64_t jpanels = (nw + kQNR - 1) / kQNR;
-  const std::int64_t qn = (kc + 3) / 4;
-  for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-    std::int8_t* panel = dst + jp * qn * 32;
-    const std::int64_t jv = std::min(kQNR, nw - jp * kQNR);
-    const std::int8_t* src0 = b + pc * n + jc + jp * kQNR;
-    std::int64_t q0 = 0;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-    if (jv == kQNR) {
-      // Full-width panel, full quad: transpose 4 row loads into per-column
-      // dwords with two unpack levels instead of 32 strided byte stores.
-      for (; (q0 + 1) * 4 <= kc; ++q0) {
-        const __m128i r0 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + (q0 * 4 + 0) * n));
-        const __m128i r1 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + (q0 * 4 + 1) * n));
-        const __m128i r2 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + (q0 * 4 + 2) * n));
-        const __m128i r3 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + (q0 * 4 + 3) * n));
-        const __m128i t01 = _mm_unpacklo_epi8(r0, r1);
-        const __m128i t23 = _mm_unpacklo_epi8(r2, r3);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + q0 * 32),
-                         _mm_unpacklo_epi16(t01, t23));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + q0 * 32 + 16),
-                         _mm_unpackhi_epi16(t01, t23));
-      }
-    }
-#endif
-    for (std::int64_t q = q0; q < qn; ++q) {
-      std::int8_t* qb = panel + q * 32;
-      for (int p = 0; p < 4; ++p) {
-        const std::int64_t row = q * 4 + p;
-        const std::int8_t* src = src0 + row * n;
-        for (std::int64_t j = 0; j < kQNR; ++j)
-          qb[j * 4 + p] = (row < kc && j < jv) ? src[j] : 0;
-      }
-    }
-  }
-}
-
-/// Per-column running activation sums of one (slab, column-panel):
-/// ps[c * kQNR + j] = sum of x[pc + q][j] for q in [0, c), exact int32.
-/// The int4 kernel's bias correction reads prefix differences from here.
-void q4_prefix_sums(const std::int8_t* qx, std::int64_t n, std::int64_t pc,
-                    std::int64_t kc, std::int64_t jc0, std::int64_t jv,
-                    std::int32_t* ps) {
-  for (std::int64_t j = 0; j < kQNR; ++j) ps[j] = 0;
-  for (std::int64_t c = 0; c < kc; ++c) {
-    const std::int8_t* src = qx + (pc + c) * n + jc0;
-    const std::int32_t* prev = ps + c * kQNR;
-    std::int32_t* cur = ps + (c + 1) * kQNR;
-#ifdef UPAQ_S8_VEC
-    if (jv == kQNR) {
-      v8si x = load_i8x8_as_i32(src);
-      v8si pv;
-      __builtin_memcpy(&pv, prev, sizeof(pv));
-      pv += x;
-      __builtin_memcpy(cur, &pv, sizeof(pv));
-      continue;
-    }
-#endif
-    for (std::int64_t j = 0; j < kQNR; ++j)
-      cur[j] = prev[j] + (j < jv ? static_cast<std::int32_t>(src[j]) : 0);
-  }
-}
-
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-
-/// Byte-lane mask covering quad-local positions [a, b) of a dword: partial
-/// quads at segment boundaries zero the excluded positions on the broadcast
-/// side, so each position is multiplied exactly once per flushed range.
-inline std::uint32_t quad_mask(int a, int b) {
-  const std::uint32_t hi =
-      b >= 4 ? 0xFFFFFFFFu : ((1u << (8 * b)) - 1u);
-  const std::uint32_t lo = a == 0 ? 0u : ((1u << (8 * a)) - 1u);
-  return hi & ~lo;
-}
-
-/// kQMR x kQNR int4 micro-tile over one (ip, jp) pair of a slab. The panel
-/// stores biased nibbles u = w + 8, expanded in-register (two mask/shift ops
-/// + two unpacks turn one 16-byte load into per-row dwords of 4 biased
-/// bytes) and multiplied unsigned via vpmaddubsw against the quad-major B
-/// dwords: int16 pair sums |u * x| <= 2 * 15 * 127 < 2^15 (exact), vpmaddwd
-/// against ones widens to exact int32 quad sums. At each flush event the
-/// nibble bias is removed algebraically —
-///   signed_sum = biased_sum - 8 * (prefix[c] - prefix[start[row]])
-/// — all in int32, so the recovered sum is bit-for-bit the direct signed
-/// dot product and the requant replay (one mul+add per segment, ascending
-/// column order, contraction pinned) matches the segment and q8 paths.
-void q4_micro_tile(const std::int8_t* __restrict__ ap,
-                   const std::int8_t* __restrict__ bp, std::int64_t kc,
-                   std::int64_t pc, const QFlush* ev, const QFlush* ev_end,
-                   float sx, const std::int32_t* ps, float* y, std::int64_t n,
-                   std::int64_t jcol, std::int64_t jv, std::int64_t row_base) {
-  v8si t0{}, t1{}, t2{}, t3{}, t4{}, t5{};
-  static_assert(kQMR == 6, "accumulator count assumes kQMR == 6");
-  // Slab-local column where each row's open (unflushed) range began: the
-  // lower end of the bias-correction prefix difference.
-  std::int32_t start[kQMR] = {};
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  const __m128i nib_mask = _mm_set1_epi8(0x0F);
-  const auto quad_step = [&](std::int64_t q, std::uint32_t mask) {
-    const __m128i raw = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(ap + q * 2 * kQMR));
-    const __m128i lo = _mm_and_si128(raw, nib_mask);
-    const __m128i hi = _mm_and_si128(_mm_srli_epi16(raw, 4), nib_mask);
-    // After the unpacks, dword r of a_all holds row r's 4 biased bytes for
-    // this quad (the 16-byte load's overhang lands in dwords 6..7, never
-    // broadcast).
-    __m256i a_all = _mm256_set_m128i(_mm_unpackhi_epi8(lo, hi),
-                                     _mm_unpacklo_epi8(lo, hi));
-    if (mask != 0xFFFFFFFFu)
-      a_all = _mm256_and_si256(
-          a_all, _mm256_set1_epi32(static_cast<std::int32_t>(mask)));
-    const __m256i bq =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + q * 32));
-    const auto lane = [&](int r) {
-      return _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(r));
-    };
-    t0 += (v8si)_mm256_madd_epi16(_mm256_maddubs_epi16(lane(0), bq), ones16);
-    t1 += (v8si)_mm256_madd_epi16(_mm256_maddubs_epi16(lane(1), bq), ones16);
-    t2 += (v8si)_mm256_madd_epi16(_mm256_maddubs_epi16(lane(2), bq), ones16);
-    t3 += (v8si)_mm256_madd_epi16(_mm256_maddubs_epi16(lane(3), bq), ones16);
-    t4 += (v8si)_mm256_madd_epi16(_mm256_maddubs_epi16(lane(4), bq), ones16);
-    t5 += (v8si)_mm256_madd_epi16(_mm256_maddubs_epi16(lane(5), bq), ones16);
-  };
-  // Requantize row r's accumulator at slab-local column c: remove the nibble
-  // bias over [start[r], c), then the contractual one-multiply-one-add.
-  const auto flush = [&](int r, float scale, std::int64_t c) {
-    v8si acc{};
-    switch (r) {
-      case 0: acc = t0; t0 = v8si{}; break;
-      case 1: acc = t1; t1 = v8si{}; break;
-      case 2: acc = t2; t2 = v8si{}; break;
-      case 3: acc = t3; t3 = v8si{}; break;
-      case 4: acc = t4; t4 = v8si{}; break;
-      default: acc = t5; t5 = v8si{}; break;
-    }
-    const __m256i corr = _mm256_sub_epi32(
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(ps + c * kQNR)),
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(ps + start[r] * kQNR)));
-    const v8si s =
-        (v8si)_mm256_sub_epi32((__m256i)acc, _mm256_slli_epi32(corr, 3));
-    start[r] = static_cast<std::int32_t>(c);
-    const float m_ = scale * sx;
-    float* yb = y + (row_base + r) * n + jcol;
-    if (jv == kQNR) {
-      v8sf t = m_ * __builtin_convertvector(s, v8sf);
-      UPAQ_NO_CONTRACT(t);
-      v8sf yv;
-      __builtin_memcpy(&yv, yb, sizeof(yv));
-      yv += t;
-      __builtin_memcpy(yb, &yv, sizeof(yv));
-    } else {
-      for (std::int64_t j = 0; j < jv; ++j) {
-        float t = m_ * static_cast<float>(s[j]);
-        UPAQ_NO_CONTRACT(t);
-        yb[j] += t;
-      }
-    }
-  };
-  std::int64_t c = 0;  // slab-local column
-  while (true) {
-    const std::int64_t stop =
-        ev != ev_end ? std::min<std::int64_t>(ev->col - pc, kc) : kc;
-    std::int64_t p = c;
-    if (p < stop && (p & 3)) {  // partial head quad
-      const std::int64_t q = p >> 2;
-      const std::int64_t b = std::min<std::int64_t>(stop - q * 4, 4);
-      quad_step(q, quad_mask(static_cast<int>(p & 3), static_cast<int>(b)));
-      p = q * 4 + b;
-    }
-    for (; p + 4 <= stop; p += 4) quad_step(p >> 2, 0xFFFFFFFFu);
-    if (p < stop) {  // partial tail quad
-      quad_step(p >> 2, quad_mask(0, static_cast<int>(stop - p)));
-      p = stop;
-    }
-    c = stop;
-    // Uniform-group batched flush (see q8_micro_tile): all six rows close at
-    // this column in row order. Corrections stay per-row — rows whose groups
-    // were all-zero emit no event and keep an older start[].
-    if (jv == kQNR && ev_end - ev >= kQMR && ev[0].col - pc == c &&
-        ev[kQMR - 1].col == ev[0].col && ev[0].row == 0 &&
-        ev[kQMR - 1].row == kQMR - 1) {
-      const __m256i pc_hi = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(ps + c * kQNR));
-      const auto one = [&](v8si& t, int r) {
-        const __m256i corr = _mm256_sub_epi32(
-            pc_hi, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                       ps + start[r] * kQNR)));
-        const v8si sv =
-            (v8si)_mm256_sub_epi32((__m256i)t, _mm256_slli_epi32(corr, 3));
-        start[r] = static_cast<std::int32_t>(c);
-        const float m_ = ev[r].scale * sx;
-        float* yb = y + (row_base + r) * n + jcol;
-        v8sf tv = m_ * __builtin_convertvector(sv, v8sf);
-        UPAQ_NO_CONTRACT(tv);
-        v8sf yv;
-        __builtin_memcpy(&yv, yb, sizeof(yv));
-        yv += tv;
-        __builtin_memcpy(yb, &yv, sizeof(yv));
-        t = v8si{};
-      };
-      one(t0, 0);
-      one(t1, 1);
-      one(t2, 2);
-      one(t3, 3);
-      one(t4, 4);
-      one(t5, 5);
-      ev += kQMR;
-    }
-    while (ev != ev_end && ev->col - pc == c) {
-      flush(static_cast<int>(ev->row), ev->scale, c);
-      ++ev;
-    }
-    if (c >= kc && (ev == ev_end || ev->col - pc > kc)) break;
-  }
-}
-
-#else  // !(UPAQ_S8_VEC && __AVX2__)
-
-/// Portable scalar fallback: decodes nibbles to signed codes directly (no
-/// bias, no correction). The direct signed sum equals the biased-and-
-/// corrected sum exactly (both are the same exact int32), so the fallback is
-/// bitwise identical to the vector kernel's outputs.
-void q4_micro_tile(const std::int8_t* ap, const std::int8_t* bp,
-                   std::int64_t kc, std::int64_t pc, const QFlush* ev,
-                   const QFlush* ev_end, float sx, const std::int32_t* ps,
-                   float* y, std::int64_t n, std::int64_t jcol,
-                   std::int64_t jv, std::int64_t row_base) {
-  (void)ps;
-  std::int32_t acc[kQMR][kQNR] = {};
-  const auto flush = [&](int r, float scale) {
-    const float m_ = scale * sx;
-    float* yb = y + (row_base + r) * n + jcol;
-    for (std::int64_t j = 0; j < jv; ++j) {
-      float t = m_ * static_cast<float>(acc[r][j]);
-      UPAQ_NO_CONTRACT(t);
-      yb[j] += t;
-    }
-    for (std::int64_t j = 0; j < kQNR; ++j) acc[r][j] = 0;
-  };
-  std::int64_t c = 0;
-  while (true) {
-    const std::int64_t stop =
-        ev != ev_end ? std::min<std::int64_t>(ev->col - pc, kc) : kc;
-    for (std::int64_t p = c; p < stop; ++p) {
-      const std::int64_t q = p >> 2;
-      const std::int8_t* arow = ap + q * 2 * kQMR;
-      const std::int8_t* brow = bp + q * 32 + (p & 3);
-      const int half = static_cast<int>((p >> 1) & 1);
-      const int shift = static_cast<int>(p & 1) * 4;
-      for (int r = 0; r < kQMR; ++r) {
-        const int u = (static_cast<int>(
-                           static_cast<std::uint8_t>(arow[2 * r + half])) >>
-                       shift) &
-                      0x0F;
-        if (u == 0) continue;  // padding row / phantom position
-        const std::int32_t w = u - 8;
-        for (std::int64_t j = 0; j < kQNR; ++j)
-          acc[r][j] += w * static_cast<std::int32_t>(brow[j * 4]);
-      }
-    }
-    c = stop;
-    while (ev != ev_end && ev->col - pc == c) {
-      flush(static_cast<int>(ev->row), ev->scale);
-      ++ev;
-    }
-    if (c >= kc && (ev == ev_end || ev->col - pc > kc)) break;
-  }
-}
-
-#endif  // UPAQ_S8_VEC && __AVX2__
-
-}  // namespace
-
-namespace {
-
-/// Panel kernels' epilogue: once the last slab's micro-tile for row panel
+/// Panel kernel's epilogue: once the last slab's micro-tile for row panel
 /// `ip` and columns [jcol, jcol + jv) is done, every one of its outputs is
 /// final (no later slab touches them).
 void panel_tile_epilogue(const Epilogue& e, float* y, std::int64_t m,
@@ -1462,58 +1129,6 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
             q8_micro_tile(aslab + ip * kQMR * kcp, bp + jp * kcp * kQNR, kc,
                           pc, lo, hi, sx, y, n, jc + jp * kQNR, jv, ip * kQMR,
                           m);
-            if (epi != nullptr && pc + kc == k)
-              panel_tile_epilogue(*epi, y, m, n, ip, jc + jp * kQNR, jv);
-          }
-        }
-      }
-    }
-  };
-  if (m * k * n < kMinParallelWork) {
-    stripe_body(0, stripes);
-  } else {
-    parallel::parallel_for(0, stripes, 1, stripe_body);
-  }
-}
-
-void q4_gemm_panel(const Q4PanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y, const Epilogue* epi) {
-  if (epi != nullptr && !epi->active()) epi = nullptr;
-  const std::int64_t m = w.m, k = w.k, slab = w.slab;
-  const std::int64_t mpad = round_up(m, kQMR);
-  const std::int64_t row_panels = mpad / kQMR;
-  const std::int64_t stripes = (n + kQNC - 1) / kQNC;
-  const std::int64_t slab_qn = (slab + 3) / 4;  // full-slab quad count
-  auto stripe_body = [&](std::int64_t s0, std::int64_t s1) {
-    workspace::Scope ws;
-    std::int8_t* bp = ws.i8(slab_qn * 32 * (kQNC / kQNR));
-    std::int32_t* ps = ws.i32((slab + 1) * kQNR);
-    for (std::int64_t s = s0; s < s1; ++s) {
-      const std::int64_t jc = s * kQNC;
-      const std::int64_t nw = std::min(kQNC, n - jc);
-      const std::int64_t jpanels = (nw + kQNR - 1) / kQNR;
-      for (std::int64_t pc = 0; pc < k; pc += slab) {
-        const std::int64_t kc = std::min(slab, k - pc);
-        const std::int64_t qn = (kc + 3) / 4;
-        q4_pack_b_slab(bp, qx, n, pc, kc, jc, nw);
-        // All slabs before this one are full, so their quad count is
-        // slab_qn — mirrors q4_pack_a's running offset.
-        const std::int8_t* aslab =
-            w.data.data() + row_panels * (pc / slab) * slab_qn * 2 * kQMR;
-        for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-          const std::int64_t jv = std::min(kQNR, nw - jp * kQNR);
-          q4_prefix_sums(qx, n, pc, kc, jc + jp * kQNR, jv, ps);
-          for (std::int64_t ip = 0; ip < row_panels; ++ip) {
-            const auto& evs = w.events[static_cast<std::size_t>(ip)];
-            const QFlush* lo = std::lower_bound(
-                evs.data(), evs.data() + evs.size(), pc + 1,
-                [](const QFlush& e, std::int64_t col) { return e.col < col; });
-            const QFlush* hi = std::lower_bound(
-                lo, evs.data() + evs.size(), pc + kc + 1,
-                [](const QFlush& e, std::int64_t col) { return e.col < col; });
-            q4_micro_tile(aslab + ip * qn * 2 * kQMR, bp + jp * qn * 32, kc,
-                          pc, lo, hi, sx, ps, y, n, jc + jp * kQNR, jv,
-                          ip * kQMR);
             if (epi != nullptr && pc + kc == k)
               panel_tile_epilogue(*epi, y, m, n, ip, jc + jp * kQNR, jv);
           }

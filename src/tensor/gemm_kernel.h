@@ -333,55 +333,6 @@ void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
 void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
                    std::int64_t n, float* y, const Epilogue* epi = nullptr);
 
-// ---------------------------------------------------------------------------
-// Nibble-packed int4 GEMM (native sub-byte branch of the qnn integer path).
-//
-// For weight codes with |w| <= 7 (bits <= 4) the panel stores BIASED nibbles
-// u = w + 8 in [1, 15] — two codes per byte — and the micro-kernel multiplies
-// them unsigned via vpmaddubsw (4 MACs per int32 lane: u bytes x signed
-// activation bytes, exact because 2 * 15 * 127 < 2^15), then subtracts the
-// bias algebraically: for a flushed range [c0, c1),
-//   sum w*x = sum (u-8)*x = biased_sum - 8 * (prefix[c1] - prefix[c0])
-// with prefix[] an int32 per-column running sum of the activation slab,
-// computed once per (slab, column-panel). Every quantity is an exact int32,
-// so the recovered signed sum is bit-for-bit the direct sum and the requant
-// replay contract (bias fill, then one mul+add per segment in ascending
-// column order) is preserved exactly — the q4 path is bitwise identical to
-// the segment and q8 paths at any thread count.
-
-/// Nibble-packed int4 weight matrix with the same per-panel flush-event
-/// schedule as QPanelA. Built once per layer by qnn; consumed by
-/// q4_gemm_panel.
-struct Q4PanelA {
-  std::int64_t m = 0, k = 0;
-  std::int64_t slab = 0;  ///< k-slab depth; every slab cut is a group boundary
-  /// Quad-major layout: per row-panel, each group of 4 consecutive slab
-  /// positions ("quad") packs into 12 bytes — 2 bytes per panel row r:
-  ///   byte[2r]   = u(p0) | u(p1) << 4
-  ///   byte[2r+1] = u(p2) | u(p3) << 4
-  /// with u = code + 8 and phantom positions / padding rows stored as 0.
-  /// 4 trailing slack bytes absorb the micro-kernel's 16-byte quad loads.
-  std::vector<std::int8_t> data;
-  /// Per row-panel, sorted by column: the requantization schedule (same
-  /// contract as QPanelA::events).
-  std::vector<std::vector<QFlush>> events;
-  bool empty() const { return m == 0; }
-};
-
-/// Packs a dense row-major int8 code matrix (every |code| <= 7) into
-/// Q4PanelA's biased-nibble quad layout. `slab` must be positive and aligned
-/// to the matrix's scale-group period by the caller. Does not touch `events`.
-void q4_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
-               std::int64_t slab, Q4PanelA& out);
-
-/// y(m, n) += requant(Wq * Xq) over a nibble-packed int4 weight: qx is the
-/// (k, n) row-major int8 activation matrix, sx its scale; y must already hold
-/// the bias fill. Parallel grain: one kQNC column stripe per chunk — bitwise
-/// identical to q8_gemm_panel / s8_gemm_segments on the same operands,
-/// epilogue included.
-void q4_gemm_panel(const Q4PanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y, const Epilogue* epi = nullptr);
-
 /// Symmetric activation quantization core (the hot half of
 /// qnn::quantize_acts_into, hosted here for the kernel TU's codegen):
 /// chunked-max abs scan, then per element one multiply, clamp, and

@@ -13,8 +13,9 @@
 //     generic path, bitwise, at 1 and 4 threads, with and without an
 //     epilogue;
 //   - the fused inference epilogue on every integer kernel (segment, both
-//     its fast and generic paths, int8 / int4 panels, and the
-//     PFN's run_t): fused == layer by layer, bitwise, at 1 and 4 threads.
+//     its fast and generic paths, the int8 panel at 8- and 4-bit codes, and
+//     the PFN's run_t): fused == layer by layer, bitwise, at 1 and 4
+//     threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,7 +114,7 @@ void check_panel_vs_segment(const Tensor& w, std::int64_t rows, std::int64_t k,
                             Rng& rng, const char* what) {
   const qnn::PackedTensor packed =
       qnn::pack(w, bits, group, quant::StorageFormat::kDense);
-  PackedGemm panel(packed, rows, k, PanelMode::kForcePanel);
+  PackedGemm panel(packed, rows, k, PanelMode::kForceInt8);
   PackedGemm segment(packed, rows, k, PanelMode::kForceSegment);
   ASSERT_TRUE(panel.panel_active()) << what;
   ASSERT_FALSE(segment.panel_active()) << what;
@@ -189,15 +190,15 @@ TEST(QgemmKernel, AutoDispatchFollowsDensityRule) {
   }
 }
 
-/// Shapes chosen for the nibble-packed int4 panel: odd k (the phantom
-/// high-nibble tail of the last pair), k just past one packing slab
+/// Narrow (2..4-bit) codes on shapes that stress the panel layout: odd k
+/// (the phantom tail of the last pair), k just past one packing slab
 /// (k > kQKC = 512), and group sizes {9, 7, 5, 3} that do and do not divide
 /// k — non-divisors force the single-slab layout with drifting scale
 /// boundaries, divisors exercise the period-multiple slab rule.
-TEST(QgemmKernel, Int4PanelMatchesSegmentAndInt8PanelBitwise) {
+TEST(QgemmKernel, NarrowCodesInt8PanelMatchesSegmentBitwise) {
   Rng rng(2024);
   const Case cases[] = {
-      {6, 47, 16},    // odd k: nibble tail inside one micro-tile row
+      {6, 47, 16},    // odd k: pair tail inside one micro-tile row
       {11, 129, 24},  // odd k, several row panels
       {13, 520, 40},  // multi-slab k > kQKC
       {9, 515, 18},   // odd multi-slab k with group-5 divisor
@@ -209,10 +210,8 @@ TEST(QgemmKernel, Int4PanelMatchesSegmentAndInt8PanelBitwise) {
         const Tensor w = make_weight(c.rows, c.k, 0.2, rng);
         const auto packed =
             qnn::pack(w, bits, group, quant::StorageFormat::kDense);
-        PackedGemm i4(packed, c.rows, c.k, PanelMode::kForceInt4);
         PackedGemm i8(packed, c.rows, c.k, PanelMode::kForceInt8);
         PackedGemm seg(packed, c.rows, c.k, PanelMode::kForceSegment);
-        ASSERT_EQ(i4.kernel_kind(), PackedGemm::KernelKind::kInt4Panel);
         ASSERT_EQ(i8.kernel_kind(), PackedGemm::KernelKind::kInt8Panel);
         ASSERT_EQ(seg.kernel_kind(), PackedGemm::KernelKind::kSegment);
 
@@ -222,83 +221,32 @@ TEST(QgemmKernel, Int4PanelMatchesSegmentAndInt8PanelBitwise) {
         for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
         char what[128];
         std::snprintf(what, sizeof(what),
-                      "int4 m=%lld k=%lld n=%lld bits=%d group=%lld",
+                      "narrow m=%lld k=%lld n=%lld bits=%d group=%lld",
                       static_cast<long long>(c.rows),
                       static_cast<long long>(c.k),
                       static_cast<long long>(c.n), bits,
                       static_cast<long long>(group));
 
-        Tensor y4({c.rows, c.n}), y8({c.rows, c.n}), ysg({c.rows, c.n});
-        i4.run(qa, bias.data(), y4);
+        Tensor y8({c.rows, c.n}), ysg({c.rows, c.n});
         i8.run(qa, bias.data(), y8);
         seg.run(qa, bias.data(), ysg);
-        expect_bitwise_equal(y4, ysg, what);
-        expect_bitwise_equal(y4, y8, what);
+        expect_bitwise_equal(y8, ysg, what);
       }
     }
   }
 }
 
-TEST(QgemmKernel, Int4PanelThreadCountInvariantBitwise) {
-  // Multi-stripe n and several row panels so the parallel dispatch splits
-  // work across lanes; the nibble kernel's flush order is a property of the
-  // panel layout, so 1-thread and 4-thread runs must be bitwise equal.
-  Rng rng(4321);
-  const std::int64_t rows = 27, k = 131, n = 530;
-  const Tensor w = make_weight(rows, k, 0.15, rng);
-  const auto packed = qnn::pack(w, 4, 7, quant::StorageFormat::kDense);
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  std::vector<float> bias(static_cast<std::size_t>(rows), -0.375f);
-
-  PackedGemm g(packed, rows, k, PanelMode::kForceInt4);
-  ASSERT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kInt4Panel);
-  parallel::set_thread_count(1);
-  Tensor y1({rows, n});
-  g.run(qa, bias.data(), y1);
-  parallel::set_thread_count(4);
-  Tensor y4({rows, n});
-  g.run(qa, bias.data(), y4);
-  parallel::set_thread_count(1);
-  expect_bitwise_equal(y1, y4, "int4 panel thread-count divergence");
-}
-
-TEST(QgemmKernel, Int4PanelSteadyStateRunsDoNotGrowArena) {
-  // Same zero-allocation contract as the int8 panel: the nibble-packed
-  // B-pack scratch must come from the workspace arena once warm.
-  parallel::set_thread_count(1);
-  { workspace::Scope flush; }
-  Rng rng(888);
-  const std::int64_t rows = 18, k = 260, n = 290;
-  const Tensor w = make_weight(rows, k, 0.0, rng);
-  const auto packed = qnn::pack(w, 4, 0, quant::StorageFormat::kDense);
-  PackedGemm g(packed, rows, k, PanelMode::kForceInt4);
-  ASSERT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kInt4Panel);
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  Tensor y({rows, n});
-
-  for (int i = 0; i < 2; ++i) g.run(qa, nullptr, y);  // warm-up
-  const workspace::Stats warm = workspace::stats();
-  for (int i = 0; i < 5; ++i) g.run(qa, nullptr, y);
-  const workspace::Stats steady = workspace::stats();
-  EXPECT_EQ(steady.block_allocs, warm.block_allocs)
-      << "steady-state int4 panel run() grew the workspace arena";
-  EXPECT_GT(steady.reuses, warm.reuses)
-      << "int4 panel run() did not route its pack scratch through the arena";
-}
-
-TEST(QgemmKernel, AutoDispatchPrefersInt4PanelForNarrowCodes) {
+TEST(QgemmKernel, AutoDispatchPicksInt8PanelForDenseNarrowCodes) {
   Rng rng(64);
   const std::int64_t rows = 10, k = 72;
-  // Dense narrow codes: the nibble panel.
+  // Dense narrow codes: the pair-interleaved int8 panel.
   {
     const Tensor w = make_weight(rows, k, 0.0, rng);
     const auto p = qnn::pack(w, 4, 8, quant::StorageFormat::kDense);
     EXPECT_EQ(PackedGemm(p, rows, k).kernel_kind(),
-              PackedGemm::KernelKind::kInt4Panel);
+              PackedGemm::KernelKind::kInt8Panel);
   }
-  // Dense 8-bit codes cannot use nibbles: the pair-interleaved panel.
+  // Dense 8-bit codes: the same panel.
   {
     const Tensor w = make_weight(rows, k, 0.0, rng);
     const auto p = qnn::pack(w, 8, 8, quant::StorageFormat::kDense);
@@ -326,7 +274,7 @@ TEST(QgemmKernel, ThreadCountInvariantBitwise) {
   const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
   std::vector<float> bias(static_cast<std::size_t>(rows), 0.125f);
 
-  for (PanelMode mode : {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
+  for (PanelMode mode : {PanelMode::kForceInt8, PanelMode::kForceSegment}) {
     PackedGemm g(packed, rows, k, mode);
     parallel::set_thread_count(1);
     Tensor y1({rows, n});
@@ -336,7 +284,7 @@ TEST(QgemmKernel, ThreadCountInvariantBitwise) {
     g.run(qa, bias.data(), y4);
     parallel::set_thread_count(1);
     expect_bitwise_equal(y1, y4,
-                         mode == PanelMode::kForcePanel
+                         mode == PanelMode::kForceInt8
                              ? "panel thread-count divergence"
                              : "segment thread-count divergence");
   }
@@ -629,7 +577,7 @@ TEST(QgemmKernel, SteadyStatePanelRunsDoNotGrowArena) {
     bool arena;  ///< the kernel takes arena scratch
   };
   const Kernel kernels[] = {
-      {"panel", PanelMode::kForcePanel, 8, 0.0, true},
+      {"panel", PanelMode::kForceInt8, 8, 0.0, true},
       {"segment(fast)", PanelMode::kForceSegment, 8, 0.7, false},
       {"segment(generic)", PanelMode::kForceSegment, 12, 0.7, true},
   };
@@ -676,12 +624,12 @@ TEST(QgemmKernel, AutoDispatchKeepsPatternPrunedConvsOnSegmentKernel) {
     EXPECT_EQ(PackedGemm(p, 8, 6 * 9).kernel_kind(),
               PackedGemm::KernelKind::kSegment);
   }
-  // Dense conv shape: the int4 panel.
+  // Dense conv shape: the int8 panel.
   {
     Tensor w = Tensor::normal({8, 6, 3, 3}, rng);
     const auto p = qnn::pack(w, 4, 9, quant::StorageFormat::kDense);
     EXPECT_EQ(PackedGemm(p, 8, 6 * 9).kernel_kind(),
-              PackedGemm::KernelKind::kInt4Panel);
+              PackedGemm::KernelKind::kInt8Panel);
   }
 }
 
@@ -699,7 +647,7 @@ TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
   Tensor y({rows, n});
 
   prof::set_enabled(true);
-  for (PanelMode mode : {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
+  for (PanelMode mode : {PanelMode::kForceInt8, PanelMode::kForceSegment}) {
     PackedGemm g(packed, rows, k, mode);
     const std::uint64_t before = prof::counter_value(prof::Counter::kQgemmMacs);
     g.run(qa, nullptr, y);
@@ -749,8 +697,8 @@ TEST(QgemmKernel, FusedEpilogueMatchesLayerByLayerOnEveryKernel) {
        PackedGemm::KernelKind::kSegment},
       {"int8 panel", PanelMode::kForceInt8, 8,
        PackedGemm::KernelKind::kInt8Panel},
-      {"int4 panel", PanelMode::kForceInt4, 4,
-       PackedGemm::KernelKind::kInt4Panel},
+      {"int8 panel(w4)", PanelMode::kForceInt8, 4,
+       PackedGemm::KernelKind::kInt8Panel},
   };
   // Odd columns (9 x 13 = 117 per item, batch 2) leave 16-wide, 8-wide and
   // scalar tails; the 64-channel geometry has k = 576 > kQKC (multi-slab:

@@ -1,5 +1,5 @@
 // Equivalence + determinism suite for the packed integer inference path
-// (upaq::qnn): the int8/int4 GEMM must match the fake-quant float path
+// (upaq::qnn): the integer GEMM must match the fake-quant float path
 // within one requantization step (max weight scale x activation scale) for
 // dense, bitmap-sparse and all four pattern families, stay bitwise
 // identical across thread counts, never store masked positions, and keep
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 
 #include "core/qmodel.h"
@@ -245,6 +246,84 @@ TEST(PackedConv2d, SiblingConvsShareOneInputQuantization) {
     EXPECT_EQ(std::memcmp(yb.data(), sb.data(),
                           sizeof(float) * static_cast<std::size_t>(yb.numel())),
               0);
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+TEST(PackedConv2d, ReusedWeightAddressGetsItsOwnPackedImage) {
+  // A lowered conv is destroyed and a conv with other weights is built in
+  // the same storage: its weight Parameter has the old one's address and
+  // version. Its packed forward must run its own weights — bitwise what
+  // the same weights give lowered at another address.
+  qnn::LowerSpec spec;
+  spec.group_size = 9;
+  Rng xrng(1111);
+  const Tensor x = Tensor::normal({1, 8, 6, 6}, xrng);
+  std::optional<nn::Conv2d> slot;
+  Rng r1(1);
+  slot.emplace(8, 8, 3, 1, 1, /*bias=*/false, r1, "first");
+  ASSERT_TRUE(qnn::lower_layer(*slot, spec));
+  slot->set_training(false);
+  const Tensor first = slot->forward(x);
+  const nn::Parameter* first_weight = &slot->weight();
+  const std::uint64_t first_version = slot->weight().version;
+  slot.reset();
+
+  Rng r2(2);
+  slot.emplace(8, 8, 3, 1, 1, /*bias=*/false, r2, "second");
+  ASSERT_EQ(&slot->weight(), first_weight);
+  ASSERT_EQ(slot->weight().version, first_version);
+  ASSERT_TRUE(qnn::lower_layer(*slot, spec));
+  slot->set_training(false);
+  const Tensor second = slot->forward(x);
+
+  Rng r2_twin(2);
+  nn::Conv2d twin(8, 8, 3, 1, 1, /*bias=*/false, r2_twin, "twin");
+  ASSERT_TRUE(qnn::lower_layer(twin, spec));
+  twin.set_training(false);
+  EXPECT_TRUE(same_bits(second, twin.forward(x)));
+  EXPECT_FALSE(same_bits(second, first));
+}
+
+TEST(PackedConv2d, WeightMutationRepacksLikeAFreshLowering) {
+  // Mutating a lowered conv's weight (with the version bump every mutation
+  // path makes) repacks once on the next forward, bitwise what a fresh
+  // lowering of the new weight gives; steady-state forwards build nothing.
+  // Counters only accumulate while tracing is on.
+  for (const auto mode : {qnn::PackedGemm::PanelMode::kForceSegment,
+                          qnn::PackedGemm::PanelMode::kForceInt8}) {
+    Rng rng(1212);
+    nn::Conv2d conv(6, 8, 3, 1, 1, /*bias=*/true, rng, "conv");
+    qnn::LowerSpec spec;
+    spec.weight_bits = 4;
+    spec.group_size = 9;
+    spec.mode = mode;
+    ASSERT_TRUE(qnn::lower_layer(conv, spec));
+    conv.set_training(false);
+    const Tensor x = Tensor::normal({2, 6, 7, 5}, rng);
+    const Tensor before = conv.forward(x);
+
+    Tensor& w = conv.weight().value;
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = -0.5f * w[i];
+    conv.weight().mark_mutated();
+    prof::set_enabled(true);
+    const std::uint64_t b0 = prof::counter_value(prof::Counter::kPanelBuilds);
+    const Tensor after = conv.forward(x);
+    const std::uint64_t b1 = prof::counter_value(prof::Counter::kPanelBuilds);
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(same_bits(conv.forward(x), after));
+    const std::uint64_t b2 = prof::counter_value(prof::Counter::kPanelBuilds);
+    prof::set_enabled(false);
+    EXPECT_EQ(b1 - b0, 1u) << "one repack after the mutation";
+    EXPECT_EQ(b2 - b1, 0u) << "steady-state forwards must not repack";
+    EXPECT_FALSE(same_bits(after, before));
+
+    ASSERT_TRUE(qnn::lower_layer(conv, spec));
+    EXPECT_TRUE(same_bits(after, conv.forward(x)));
   }
 }
 

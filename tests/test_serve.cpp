@@ -62,7 +62,7 @@ std::unique_ptr<detectors::PointPillars> make_model() {
 }
 
 /// Packed PointPillars: every conv and the PFN linear lowered (the convs
-/// cycling segment / int8 panel / int4 panel). The packed PFN quantizes its
+/// cycling segment / int8 panel). The packed PFN quantizes its
 /// input with one scale per call, so this is the model on which a batched
 /// scene could see its batch-mates. A small grid decoding every cell keeps
 /// the comparison dense and fast.

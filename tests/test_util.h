@@ -196,23 +196,19 @@ inline void set_edge_bn(nn::BatchNorm2d& bn, Rng& rng) {
 }
 
 /// Lowers every Conv2d and Linear of `m` onto the packed integer path, the
-/// convs cycling through the segment kernel, the int8 panel and the int4
-/// panel so one detector exercises each. Returns the lowered layer count.
+/// convs cycling through the segment kernel and the int8 panel so one
+/// detector exercises both. Returns the lowered layer count.
 inline int lower_all_cycling_kernels(nn::Module& m) {
   using Mode = qnn::PackedGemm::PanelMode;
-  const std::pair<Mode, int> kernels[] = {
-      {Mode::kForceSegment, 8}, {Mode::kForceInt8, 8}, {Mode::kForceInt4, 4}};
+  const Mode kernels[] = {Mode::kForceSegment, Mode::kForceInt8};
   int lowered = 0, convs = 0;
   for (const auto& l : m.layers()) {
     if (l->kind() != nn::LayerKind::kConv2d &&
         l->kind() != nn::LayerKind::kLinear)
       continue;
     qnn::LowerSpec spec;
-    if (l->kind() == nn::LayerKind::kConv2d) {
-      const auto& [mode, bits] = kernels[convs++ % 3];
-      spec.mode = mode;
-      spec.weight_bits = bits;
-    }
+    if (l->kind() == nn::LayerKind::kConv2d)
+      spec.mode = kernels[convs++ % 2];
     lowered += qnn::lower_layer(*l, spec) ? 1 : 0;
   }
   return lowered;
